@@ -164,16 +164,10 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline *time.Ti
 		return nil, nil
 	}
 	waited := false
-	var timer *time.Timer
-	timedOut := false
+	var wake *deadlineWake
 	if deadline != nil {
-		timer = time.AfterFunc(time.Until(*deadline), func() {
-			l.lock.Lock()
-			timedOut = true
-			l.cond.Broadcast()
-			l.lock.Unlock()
-		})
-		defer timer.Stop()
+		wake = armDeadline(l, *deadline)
+		defer wake.timer.Stop()
 	}
 	for {
 		if f.stopped.Load() {
@@ -188,7 +182,7 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline *time.Ti
 		if l.availableLocked(d) != nil {
 			break
 		}
-		if deadline != nil && (timedOut || !time.Now().Before(*deadline)) {
+		if wake != nil && wake.expired(*deadline) {
 			l.lock.Unlock()
 			return nil, ErrTimeout
 		}
@@ -207,7 +201,7 @@ func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline *time.Ti
 		if m == nil {
 			break
 		}
-		l.claimLocked(d, m)
+		l.claimLocked(d, m, false)
 		claimed = append(claimed, m)
 	}
 	l.lock.Unlock()

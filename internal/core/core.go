@@ -58,6 +58,12 @@
 //     at the oldest message; a BROADCAST joiner has its private head set
 //     to the oldest retained message (and Pending is incremented on each).
 //     Later BROADCAST joiners see only messages sent after they join.
+//  6. A copying receive's FCFS claim that leaves the queue-head message
+//     needed by no one (Pending == 0, no pin held) dequeues it under the
+//     same lock hold; the receiver releases it after its copy, and a
+//     circuit that dies meanwhile neither drops nor orphans it. Every
+//     other claim — shared messages, views — pins the message, and the
+//     last unpin runs the rule-3 reclaim.
 package core
 
 import (

@@ -183,7 +183,10 @@ func TestFCFSSingleDelivery(t *testing.T) {
 				if err != nil || !ok {
 					break
 				}
-				n, err := f.Receive(pid, rid, buf)
+				// The check is advisory: a sibling may take the last
+				// message between it and the receive, so the receive
+				// is bounded rather than parked for good.
+				n, err := f.ReceiveDeadline(pid, rid, buf, 100*time.Millisecond)
 				if err != nil {
 					break
 				}

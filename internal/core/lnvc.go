@@ -497,78 +497,92 @@ func (f *Facility) ReceiveDeadline(pid int, id ID, buf []byte, d time.Duration) 
 }
 
 func (f *Facility) receive(pid int, id ID, buf []byte, deadline *time.Time) (int, error) {
-	l, m, err := f.waitClaim(pid, id, deadline)
+	c, err := f.waitClaim(pid, id, deadline, true)
 	if err != nil {
 		return 0, err
 	}
+	return f.copyOut(c, buf), nil
+}
 
-	// The second of the paper's two copies — blocks → user buffer —
-	// happens outside the lock, under the pin, so BROADCAST receivers
-	// proceed concurrently.
-	n := f.pool.Extract(m, buf)
+// copyOut makes the second of the paper's two copies — blocks → user
+// buffer — for a copying receive's claim and then ends the claim. The
+// copy happens outside the circuit lock, under the pin or with the
+// message already off the queue, so BROADCAST receivers proceed
+// concurrently.
+func (f *Facility) copyOut(c claim, buf []byte) int {
+	n := f.pool.Extract(c.m, buf)
 	f.stats.payloadCopiesOut.Add(1)
-
-	f.unpin(l, m)
-
+	if c.owned {
+		// The claim dequeued the message: no receiver can reach it, so
+		// its blocks go straight back without re-taking the circuit
+		// lock. A credited circuit is granted the blocks through the
+		// generation-checked refund, which ignores a circuit that died
+		// meanwhile (its ledger was zeroed then).
+		blocks := c.m.Blocks
+		f.pool.Release(c.m)
+		f.refundCredit(c.l, c.gen, blocks)
+	} else {
+		f.unpin(c.l, c.m)
+	}
 	f.stats.receives.Add(1)
 	f.stats.bytesRecvd.Add(uint64(n))
-	return n, nil
+	return n
+}
+
+// claim is a claimed message and the circuit it was claimed from. A
+// pinned claim leaves the message in the queue and owes one unpin; an
+// owned claim took it off the queue, and the holder releases it.
+type claim struct {
+	l     *lnvc
+	m     *msg.Message
+	gen   uint64 // the circuit's generation at the claim
+	owned bool
 }
 
 // waitClaim blocks until a message is deliverable to pid's connection
-// on id, claims it and pins it, and returns it together with the
-// circuit it was claimed from. On success the caller owns one pin and
-// must balance it with unpin once done reading the payload. deadline,
-// when non-nil, bounds the wait (ErrTimeout).
-func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.Message, error) {
+// on id and claims it (see claimLocked; take asks for the dequeue a
+// copying receive can use). deadline, when non-nil, bounds the wait
+// (ErrTimeout).
+func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time, take bool) (claim, error) {
 	if err := f.checkPID(pid); err != nil {
-		return nil, nil, err
+		return claim{}, err
 	}
 	l, err := f.lookup(id)
 	if err != nil {
-		return nil, nil, err
+		return claim{}, err
 	}
 	l.lock.Lock()
 	d := l.recvs[pid]
 	if f.slots[id].Load() != l || d == nil {
 		l.lock.Unlock()
-		return nil, nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
+		return claim{}, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
 	}
 	var m *msg.Message
 	waited := false
-	var timer *time.Timer
-	timedOut := false
+	var wake *deadlineWake
 	if deadline != nil {
-		// The waker broadcasts the LNVC condition so the waiter below
-		// re-evaluates; timedOut is only read/written under the LNVC
-		// lock except for the final defensive Stop.
-		timer = time.AfterFunc(time.Until(*deadline), func() {
-			l.lock.Lock()
-			timedOut = true
-			l.cond.Broadcast()
-			l.lock.Unlock()
-		})
-		defer timer.Stop()
+		wake = armDeadline(l, *deadline)
+		defer wake.timer.Stop()
 	}
 	for {
 		if f.stopped.Load() {
 			l.lock.Unlock()
-			return nil, nil, ErrShutdown
+			return claim{}, ErrShutdown
 		}
 		if l.recvs[pid] != d {
 			// The connection was closed (CloseReceive from another
 			// goroutine) while this receive was parked; the close path
 			// broadcast the condition so we see it promptly.
 			l.lock.Unlock()
-			return nil, nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
+			return claim{}, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
 		}
 		m = l.availableLocked(d)
 		if m != nil {
 			break
 		}
-		if deadline != nil && (timedOut || !time.Now().Before(*deadline)) {
+		if wake != nil && wake.expired(*deadline) {
 			l.lock.Unlock()
-			return nil, nil, ErrTimeout
+			return claim{}, ErrTimeout
 		}
 		waited = true
 		l.cond.Wait()
@@ -576,28 +590,65 @@ func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time) (*lnvc, *msg.M
 	if waited {
 		f.stats.receiveWaits.Add(1)
 	}
-	l.claimLocked(d, m)
+	c := claim{l: l, m: m, gen: l.gen, owned: l.claimLocked(d, m, take)}
 	l.lock.Unlock()
-	return l, m, nil
+	return c, nil
+}
+
+// deadlineWake bounds a receive's park on an LNVC condition: its timer
+// broadcasts the condition at the deadline so the waiter re-evaluates.
+// fired is read and written only under the LNVC lock.
+type deadlineWake struct {
+	timer *time.Timer
+	fired bool
+}
+
+// armDeadline starts the timer for a park on l that ends at deadline.
+// Only a receive with a deadline pays for it.
+func armDeadline(l *lnvc, deadline time.Time) *deadlineWake {
+	w := &deadlineWake{}
+	w.timer = time.AfterFunc(time.Until(deadline), func() {
+		l.lock.Lock()
+		w.fired = true
+		l.cond.Broadcast()
+		l.lock.Unlock()
+	})
+	return w
+}
+
+// expired reports, under the LNVC lock, whether the deadline passed.
+func (w *deadlineWake) expired(deadline time.Time) bool {
+	return w.fired || !time.Now().Before(deadline)
 }
 
 // claimLocked consumes m for receiver d — for FCFS the claim (advancing
 // the shared head) must happen under the lock or two FCFS receivers
 // could take the same message; for BROADCAST it advances the private
-// head and releases the Pending reference — and pins it. The pin is
-// what keeps the blocks alive while the holder reads them outside the
-// lock, whether for the paper's receive copy or for a held View; a
-// pinned message is never recycled (reclaimLocked skips it, the close
-// path orphans it to the pin holders instead of releasing it).
-func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message) {
+// head and releases the Pending reference.
+//
+// With take set, an FCFS claim that leaves m needed by no one — m is
+// the queue head, no BROADCAST receiver still needs it and no pin is
+// held on it — dequeues m and reports true: the claimer owns it and
+// releases it after its copy, with no second visit to the circuit.
+// Every other claim pins m. The pin is what keeps the blocks alive
+// while the holder reads them outside the lock, whether for a copy of
+// a shared message or for a held View; a pinned message is never
+// recycled (reclaimLocked skips it, the close path orphans it to the
+// pin holders instead of releasing it).
+func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message, take bool) bool {
 	if d.proto == FCFS {
 		m.FCFSNeeded = false
 		l.fcfsHeadSeq = m.Seq + 1
+		if take && m.Pending == 0 && m.Pins == 0 && l.queue.Head() == m {
+			l.queue.Remove(m, nil)
+			return true
+		}
 	} else {
 		d.headSeq = m.Seq + 1
 		m.Pending--
 	}
 	m.Pins++
+	return false
 }
 
 // unpin drops one pin taken by claimLocked. For a message still owned
@@ -652,15 +703,12 @@ func (l *lnvc) availableLocked(d *recvDesc) *msg.Message {
 		// shared head have FCFSNeeded cleared, so scanning from the
 		// queue head for FCFSNeeded is equivalent to following the
 		// shared head pointer; the queue head is almost always it.
-		var found *msg.Message
-		l.queue.Walk(func(m, _ *msg.Message) bool {
+		for m := l.queue.Head(); m != nil; m = m.Next {
 			if m.FCFSNeeded && m.Seq >= l.fcfsHeadSeq {
-				found = m
-				return false
+				return m
 			}
-			return true
-		})
-		return found
+		}
+		return nil
 	}
 	return l.queue.After(d.headSeq)
 }
@@ -683,49 +731,40 @@ func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
 }
 
 func (f *Facility) tryReceive(pid int, id ID, buf []byte) (int, bool, error) {
-	l, m, ok, err := f.tryClaim(pid, id)
+	c, ok, err := f.tryClaim(pid, id, true)
 	if err != nil || !ok {
 		return 0, false, err
 	}
-
-	n := f.pool.Extract(m, buf)
-	f.stats.payloadCopiesOut.Add(1)
-
-	f.unpin(l, m)
-
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(n))
-	return n, true, nil
+	return f.copyOut(c, buf), true, nil
 }
 
 // tryClaim is waitClaim's non-blocking form: if a message is deliverable
-// it is claimed and pinned (the caller owes one unpin) and ok is true;
-// otherwise ok is false.
-func (f *Facility) tryClaim(pid int, id ID) (*lnvc, *msg.Message, bool, error) {
+// it is claimed and ok is true; otherwise ok is false.
+func (f *Facility) tryClaim(pid int, id ID, take bool) (claim, bool, error) {
 	if err := f.checkPID(pid); err != nil {
-		return nil, nil, false, err
+		return claim{}, false, err
 	}
 	if f.stopped.Load() {
-		return nil, nil, false, ErrShutdown
+		return claim{}, false, ErrShutdown
 	}
 	l, err := f.lookup(id)
 	if err != nil {
-		return nil, nil, false, err
+		return claim{}, false, err
 	}
 	l.lock.Lock()
 	d := l.recvs[pid]
 	if f.slots[id].Load() != l || d == nil {
 		l.lock.Unlock()
-		return nil, nil, false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
+		return claim{}, false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
 	}
 	m := l.availableLocked(d)
 	if m == nil {
 		l.lock.Unlock()
-		return nil, nil, false, nil
+		return claim{}, false, nil
 	}
-	l.claimLocked(d, m)
+	c := claim{l: l, m: m, gen: l.gen, owned: l.claimLocked(d, m, take)}
 	l.lock.Unlock()
-	return l, m, true, nil
+	return c, true, nil
 }
 
 // CheckReceive reports whether a message is currently available for pid's
@@ -761,40 +800,35 @@ func (f *Facility) checkReceive(pid int, id ID) (bool, error) {
 // under the LNVC lock after any event that can release a claim.
 func (f *Facility) reclaimLocked(l *lnvc) {
 	bcastOnly := l.nFCFS == 0 && (l.nBcast > 0)
-	type rm struct{ m, prev *msg.Message }
-	var victims []rm
-	var prevSurvivor *msg.Message
-	l.queue.Walk(func(m, _ *msg.Message) bool {
-		dead := m.Pins == 0 && m.Pending == 0 && (!m.FCFSNeeded || bcastOnly)
-		if dead {
-			victims = append(victims, rm{m, prevSurvivor})
+	// The victims are unlinked as the scan finds them and go back in one
+	// free-pool transaction — a batched receive's reclaim costs one arena
+	// lock acquisition however many messages it retired. The stack
+	// buffer covers a typical scan without a heap allocation.
+	var victimsBuf [16]*msg.Message
+	victims := victimsBuf[:0]
+	granted := 0
+	var prev *msg.Message
+	for m := l.queue.Head(); m != nil; {
+		next := m.Next
+		if m.Pins == 0 && m.Pending == 0 && (!m.FCFSNeeded || bcastOnly) {
+			l.queue.Remove(m, prev)
+			victims = append(victims, m)
+			granted += m.Blocks
 		} else {
-			prevSurvivor = m
+			prev = m
 		}
-		return true
-	})
-	for _, v := range victims {
-		l.queue.Remove(v.m, v.prev)
+		m = next
 	}
-	// Release blocks outside the queue walk; still under the LNVC lock,
-	// but the arena has its own lock so this is safe (arena lock is a
-	// leaf in the lock order). The whole scan's victims go back in one
-	// free-pool transaction — a batched receive's reclaim costs one
-	// arena lock acquisition however many messages it retired.
-	if len(victims) > 0 {
-		var msgsBuf [16]*msg.Message
-		ms := msgsBuf[:0]
-		granted := 0
-		for _, v := range victims {
-			ms = append(ms, v.m)
-			granted += v.m.Blocks
-		}
-		f.pool.ReleaseBatch(ms)
-		// The victims' blocks are back in the region: return their
-		// accounted demand to the circuit's credit budget and wake any
-		// senders parked for it — one grant for the whole scan.
-		f.grantCreditLocked(l, granted)
+	if len(victims) == 0 {
+		return
 	}
+	// Release blocks still under the LNVC lock, but the arena has its
+	// own lock so this is safe (arena lock is a leaf in the lock order).
+	f.pool.ReleaseBatch(victims)
+	// The victims' blocks are back in the region: return their
+	// accounted demand to the circuit's credit budget and wake any
+	// senders parked for it — one grant for the whole scan.
+	f.grantCreditLocked(l, granted)
 }
 
 // Info describes an LNVC's current state for introspection and tests.

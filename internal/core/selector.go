@@ -600,7 +600,7 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 				if m == nil {
 					break
 				}
-				fr.l.claimLocked(d, m)
+				fr.l.claimLocked(d, m, false)
 				out = append(out, &View{f: f, l: fr.l, m: m, id: fr.id})
 				total += m.Length
 				claimed++

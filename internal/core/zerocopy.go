@@ -245,32 +245,32 @@ func (f *Facility) ReceiveViewDeadline(pid int, id ID, d time.Duration) (*View, 
 }
 
 func (f *Facility) receiveView(pid int, id ID, deadline *time.Time) (*View, error) {
-	l, m, err := f.waitClaim(pid, id, deadline)
+	c, err := f.waitClaim(pid, id, deadline, false)
 	if err != nil {
 		return nil, err
 	}
 	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(m.Length))
+	f.stats.bytesRecvd.Add(uint64(c.m.Length))
 	f.stats.viewReceives.Add(1)
-	return &View{f: f, l: l, m: m, id: id}, nil
+	return &View{f: f, l: c.l, m: c.m, id: id}, nil
 }
 
 // TryReceiveView is ReceiveView's non-blocking form: if a message is
 // available it is claimed as a pinned View and (v, true) is returned;
 // otherwise (nil, false).
 func (f *Facility) TryReceiveView(pid int, id ID) (*View, bool, error) {
-	l, m, ok, err := f.tryClaim(pid, id)
+	c, ok, err := f.tryClaim(pid, id, false)
 	ev := Event{Op: OpTryReceiveView, PID: pid, LNVC: id, Err: err}
 	if err != nil || !ok {
 		f.trace(ev)
 		return nil, false, err
 	}
 	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(m.Length))
+	f.stats.bytesRecvd.Add(uint64(c.m.Length))
 	f.stats.viewReceives.Add(1)
-	ev.Bytes = m.Length
+	ev.Bytes = c.m.Length
 	f.trace(ev)
-	return &View{f: f, l: l, m: m, id: id}, true, nil
+	return &View{f: f, l: c.l, m: c.m, id: id}, true, nil
 }
 
 func viewBytes(v *View) int {

@@ -53,7 +53,9 @@ type Message struct {
 	// disagree about a message's cost.
 	Blocks int
 	// Pins counts receivers currently reading the payload outside the
-	// LNVC lock — a transient copy (Extract) or a held zero-copy View.
+	// LNVC lock — a transient copy (Extract) of a message still queued
+	// or a held zero-copy View. (A copying receive that took the message
+	// off the queue owns it outright and holds no pin.)
 	// A pinned message must not be reclaimed: broadcast receivers
 	// release their Pending claim before reading (so other receivers
 	// can proceed) but the blocks must survive until the last pin

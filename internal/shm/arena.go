@@ -316,7 +316,8 @@ func (a *Arena) allocLocked() (int32, error) {
 			a.stats.AllocFails++
 			return NilOffset, ErrOutOfBlocks
 		}
-		idx := a.findFreeLocked()
+		// The lowest free block: a run of one, which tightens lowFree.
+		idx, _ := a.bestRunLocked(1)
 		a.takeRunLocked(idx, 1)
 		return a.offsetOf(idx), nil
 	}
@@ -339,58 +340,58 @@ func (a *Arena) allocLocked() (int32, error) {
 func (a *Arena) offsetOf(idx int32) int32   { return (idx + 1) * a.blockSize }
 func (a *Arena) blockIndex(off int32) int32 { return off/a.blockSize - 1 }
 
-// findFreeLocked returns the index of the lowest free block, scanning
-// words from the lowFree bound and tightening it. The caller must have
-// checked nFree > 0.
-func (a *Arena) findFreeLocked() int32 {
-	for w := int(a.lowFree / 64); w < len(a.freeBits); w++ {
-		if a.freeBits[w] != 0 {
-			idx := int32(w*64 + bits.TrailingZeros64(a.freeBits[w]))
-			a.lowFree = idx
-			return idx
-		}
-	}
-	panic("shm: findFreeLocked with no free blocks")
-}
-
 // bestRunLocked scans for a run of want consecutive free blocks,
 // starting at the lowFree bound (no free block exists below it). It
-// returns the first such run immediately; failing that, the longest run
-// found (length 0 when the region is exhausted).
+// returns the first such run immediately, trimmed to want; failing
+// that, the longest run found (the earliest of equals; length 0 when
+// the region is exhausted). The scan moves a word at a time: an empty
+// word ends the current run, and within a word each run is located and
+// measured with two trailing-zero counts, so a scan costs O(words) plus
+// O(runs) rather than O(blocks). The first free block the scan meets
+// tightens lowFree.
 func (a *Arena) bestRunLocked(want int32) (start, length int32) {
 	var bestStart, bestLen, runStart, runLen int32
 	first := true
-	for i := a.lowFree &^ 63; i < a.nBlocks; {
-		w := a.freeBits[i/64]
-		if w == 0 && i%64 == 0 {
-			// A whole empty word: the current run is over.
-			if runLen > bestLen {
-				bestStart, bestLen = runStart, runLen
+	for w := int(a.lowFree / 64); w < len(a.freeBits); w++ {
+		x := a.freeBits[w]
+		base := int32(w * 64)
+		for x != 0 {
+			s := int32(bits.TrailingZeros64(x))
+			if s != 0 || runLen == 0 {
+				// A new run starts at bit s; any run carried in from
+				// the previous word ended at its last bit.
+				if runLen > bestLen {
+					bestStart, bestLen = runStart, runLen
+				}
+				runStart, runLen = base+s, 0
 			}
-			runLen = 0
-			i += 64
-			continue
-		}
-		if w&(1<<(i%64)) != 0 {
 			if first {
-				// Lowest free block seen this scan: tighten the bound.
-				a.lowFree = i
+				a.lowFree = base + s
 				first = false
 			}
-			if runLen == 0 {
-				runStart = i
-			}
-			runLen++
+			ones := int32(bits.TrailingZeros64(^(x >> s)))
+			runLen += ones
 			if runLen >= want {
-				return runStart, runLen
+				return runStart, want
 			}
-		} else {
+			if s+ones == 64 {
+				// The run reaches the word's last bit and may continue
+				// into the next word.
+				break
+			}
+			x &= ^uint64(0) << (s + ones)
 			if runLen > bestLen {
 				bestStart, bestLen = runStart, runLen
 			}
 			runLen = 0
 		}
-		i++
+		if a.freeBits[w]>>63 == 0 {
+			// The word's last block is allocated: no run carries over.
+			if runLen > bestLen {
+				bestStart, bestLen = runStart, runLen
+			}
+			runLen = 0
+		}
 	}
 	if runLen > bestLen {
 		bestStart, bestLen = runStart, runLen
@@ -398,13 +399,27 @@ func (a *Arena) bestRunLocked(want int32) (start, length int32) {
 	return bestStart, bestLen
 }
 
-// takeRunLocked marks blocks [start, start+k) allocated as one span.
+// wordMask returns the bitmap word holding block i and the mask of the
+// blocks of [i, end) that word covers, together with the index just
+// past them: the step of the word-at-a-time walks in takeRunLocked and
+// freeSpanLocked.
+func wordMask(i, end int32) (w int32, mask uint64, next int32) {
+	lo := i % 64
+	n := min(end-i, 64-lo)
+	return i / 64, (^uint64(0) >> (64 - n)) << lo, i + n
+}
+
+// takeRunLocked marks blocks [start, start+k) allocated as one span,
+// a word at a time. Taking a block that is already allocated is
+// allocator corruption and panics.
 func (a *Arena) takeRunLocked(start, k int32) {
-	for i := start; i < start+k; i++ {
-		if a.freeBits[i/64]&(1<<(i%64)) == 0 {
-			panic(fmt.Sprintf("shm: takeRun of allocated block %d", i))
+	for i, end := start, start+k; i < end; {
+		w, mask, next := wordMask(i, end)
+		if held := mask &^ a.freeBits[w]; held != 0 {
+			panic(fmt.Sprintf("shm: takeRun of allocated block %d", w*64+int32(bits.TrailingZeros64(held))))
 		}
-		a.freeBits[i/64] &^= 1 << (i % 64)
+		a.freeBits[w] &^= mask
+		i = next
 	}
 	a.spanLen[start] = k
 	a.nFree -= k
@@ -414,21 +429,24 @@ func (a *Arena) takeRunLocked(start, k int32) {
 	}
 }
 
-// freeSpanLocked returns the span starting at off to the bitmap.
+// freeSpanLocked returns the span starting at off to the bitmap, a
+// word at a time. Freeing a block that is already free panics.
 func (a *Arena) freeSpanLocked(off int32) {
 	idx := a.blockIndex(off)
-	if idx < a.lowFree {
-		a.lowFree = idx
-	}
 	k := a.spanLen[idx]
 	if k < 1 {
 		panic(fmt.Sprintf("shm: free of unallocated span at offset %d", off))
 	}
-	for i := idx; i < idx+k; i++ {
-		if a.freeBits[i/64]&(1<<(i%64)) != 0 {
-			panic(fmt.Sprintf("shm: double free of block %d", i))
+	for i, end := idx, idx+k; i < end; {
+		w, mask, next := wordMask(i, end)
+		if free := mask & a.freeBits[w]; free != 0 {
+			panic(fmt.Sprintf("shm: double free of block %d", w*64+int32(bits.TrailingZeros64(free))))
 		}
-		a.freeBits[i/64] |= 1 << (i % 64)
+		a.freeBits[w] |= mask
+		i = next
+	}
+	if idx < a.lowFree {
+		a.lowFree = idx
 	}
 	a.spanLen[idx] = 0
 	a.nFree += k
@@ -450,7 +468,7 @@ func (a *Arena) spanBlocksFor(n int) int32 {
 // fragmentation (greedy longest-run). The caller must hold the lock and
 // have verified nFree >= BlocksFor(payload) — the fully-fragmented
 // worst case — which guarantees success (see the demand invariant in
-// AllocPayload).
+// AllocPayloads).
 func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 	rem := payload
 	head, tail = NilOffset, NilOffset
@@ -460,21 +478,92 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 		if length == 0 {
 			panic("shm: spanChainLocked underflow")
 		}
-		if length > want {
-			length = want
-		}
 		a.takeRunLocked(start, length)
-		off := a.offsetOf(start)
-		a.setLink(off, NilOffset)
-		if head == NilOffset {
-			head = off
-		} else {
-			a.setLink(tail, off)
-		}
-		tail = off
+		head, tail = a.appendLocked(head, tail, a.offsetOf(start))
 		rem -= int(length)*int(a.blockSize) - 4
 		if rem <= 0 {
 			return head, tail
+		}
+	}
+}
+
+// blockChainLocked builds a chain of n single blocks. The caller must
+// hold the lock and have verified nFree >= n.
+func (a *Arena) blockChainLocked(n int) (head, tail int32) {
+	head, tail = NilOffset, NilOffset
+	for j := 0; j < n; j++ {
+		off, err := a.allocLocked()
+		if err != nil {
+			// Unreachable: the caller checked nFree.
+			panic("shm: blockChainLocked underflow")
+		}
+		head, tail = a.appendLocked(head, tail, off)
+	}
+	return head, tail
+}
+
+// appendLocked links the chain element at off after tail, returning
+// the chain's new endpoints.
+func (a *Arena) appendLocked(head, tail, off int32) (int32, int32) {
+	a.setLink(off, NilOffset)
+	if head == NilOffset {
+		return off, off
+	}
+	a.setLink(tail, off)
+	return head, off
+}
+
+// payloadChainLocked builds the chain for one n-byte payload in the
+// arena's layout. The caller must hold the lock and have verified
+// nFree >= BlocksFor(n).
+func (a *Arena) payloadChainLocked(n int) (head, tail int32) {
+	if a.spans {
+		return a.spanChainLocked(n)
+	}
+	return a.blockChainLocked(a.BlocksFor(n))
+}
+
+// lockFree acquires the lock and returns holding it once at least total
+// blocks are free — the one wait loop behind every allocation entry
+// point. Without wait, exhaustion counts an AllocFail and returns
+// ErrOutOfBlocks. With wait, it parks until frees arrive; stop aborts
+// the wait (ErrOutOfBlocks) and a nil stop never does. The caller must
+// have checked that total fits the region, or the wait never ends.
+//
+// Waiter accounting: each waiter owns its own registration — it
+// increments waiters before sleeping and decrements after waking,
+// whether woken or aborted. Wakers never touch the count; they only
+// replace-and-close the channel when waiters > 0. This keeps the
+// invariant "a sleeping waiter's channel is the current one and will be
+// closed by the next free" without any reset/decrement interleavings
+// that could strand a later waiter.
+func (a *Arena) lockFree(total int32, wait bool, stop <-chan struct{}) error {
+	for {
+		a.mu.Lock()
+		if a.nFree >= total {
+			return nil
+		}
+		if !wait {
+			a.stats.AllocFails++
+			a.mu.Unlock()
+			return ErrOutOfBlocks
+		}
+		a.stats.AllocBlocks++
+		a.waiters++
+		ch := a.cond.ch
+		a.mu.Unlock()
+		aborted := false
+		select {
+		case <-ch:
+			// Frees arrived; retry the whole reservation.
+		case <-stop:
+			aborted = true
+		}
+		a.mu.Lock()
+		a.waiters--
+		a.mu.Unlock()
+		if aborted {
+			return ErrOutOfBlocks
 		}
 	}
 }
@@ -484,72 +573,31 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 // sender that outruns its receivers must wait for blocks to be recycled.
 // The stop channel aborts the wait (used at facility shutdown); a nil stop
 // never aborts.
-//
-// Waiter accounting: each waiter owns its own registration — it
-// increments waiters before sleeping and decrements after waking,
-// whether woken or aborted. Wakers never touch the count; they only
-// replace-and-close the channel when waiters > 0. This keeps the
-// invariant "a sleeping waiter's channel is the current one and will be
-// closed by the next free" without any reset/decrement interleavings
-// that could strand a later waiter.
 func (a *Arena) AllocWait(stop <-chan struct{}) (int32, error) {
-	for {
-		a.mu.Lock()
-		off, err := a.allocLocked()
-		if err == nil {
-			a.mu.Unlock()
-			return off, nil
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// A free arrived (or a broadcast); retry.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return NilOffset, ErrOutOfBlocks
-		}
+	if err := a.lockFree(1, true, stop); err != nil {
+		return NilOffset, err
 	}
+	off, err := a.allocLocked()
+	a.mu.Unlock()
+	return off, err
 }
 
 // AllocChain allocates n blocks linked head→…→tail via their link words,
-// returning the head offset. On failure nothing is leaked. wait selects
-// between Alloc and AllocWait semantics.
+// returning the head offset, in one free-list transaction. On failure
+// nothing is leaked. wait selects between Alloc and AllocWait
+// semantics, applied to all n blocks at once.
 func (a *Arena) AllocChain(n int, wait bool, stop <-chan struct{}) (int32, error) {
 	if n <= 0 {
 		return NilOffset, fmt.Errorf("shm: AllocChain of %d blocks", n)
 	}
-	var head, tail int32 = NilOffset, NilOffset
-	for i := 0; i < n; i++ {
-		var off int32
-		var err error
-		if wait {
-			off, err = a.AllocWait(stop)
-		} else {
-			off, err = a.Alloc()
-		}
-		if err != nil {
-			if head != NilOffset {
-				a.FreeChain(head)
-			}
-			return NilOffset, err
-		}
-		a.setLink(off, NilOffset)
-		if head == NilOffset {
-			head = off
-		} else {
-			a.setLink(tail, off)
-		}
-		tail = off
+	if n > int(a.nBlocks) {
+		return NilOffset, ErrOutOfBlocks
 	}
+	if err := a.lockFree(int32(n), wait, stop); err != nil {
+		return NilOffset, err
+	}
+	head, _ := a.blockChainLocked(n)
+	a.mu.Unlock()
 	return head, nil
 }
 
@@ -580,55 +628,16 @@ func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, t
 		return nil, nil, fmt.Errorf("shm: AllocChains batch of %d blocks exceeds region of %d: %w",
 			total, a.nBlocks, ErrOutOfBlocks)
 	}
-	for {
-		a.mu.Lock()
-		if int(a.nFree) >= total {
-			heads = make([]int32, len(ns))
-			tails = make([]int32, len(ns))
-			for i, n := range ns {
-				var head, tail int32 = NilOffset, NilOffset
-				for j := 0; j < n; j++ {
-					off, err := a.allocLocked()
-					if err != nil {
-						// Unreachable: nFree covers the batch.
-						panic("shm: AllocChains underflow")
-					}
-					a.setLink(off, NilOffset)
-					if head == NilOffset {
-						head = off
-					} else {
-						a.setLink(tail, off)
-					}
-					tail = off
-				}
-				heads[i], tails[i] = head, tail
-			}
-			a.mu.Unlock()
-			return heads, tails, nil
-		}
-		if !wait {
-			a.stats.AllocFails++
-			a.mu.Unlock()
-			return nil, nil, ErrOutOfBlocks
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// Frees arrived; retry the whole reservation.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return nil, nil, ErrOutOfBlocks
-		}
+	if err := a.lockFree(int32(total), wait, stop); err != nil {
+		return nil, nil, err
 	}
+	heads = make([]int32, len(ns))
+	tails = make([]int32, len(ns))
+	for i, n := range ns {
+		heads[i], tails[i] = a.blockChainLocked(n)
+	}
+	a.mu.Unlock()
+	return heads, tails, nil
 }
 
 // AllocPayload allocates a chain able to hold n payload bytes, returning
@@ -636,13 +645,37 @@ func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, t
 // a long enough free run exists (several spans under fragmentation); in
 // classic mode it is BlocksFor(n) linked blocks, allocated in a single
 // free-list transaction. wait and stop have AllocWait's semantics,
-// applied to the chain's worst-case block demand.
+// applied to the chain's worst-case block demand. It is AllocPayloads
+// for one payload, without the result slices.
 func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail int32, err error) {
-	heads, tails, err := a.AllocPayloads([]int{n}, wait, stop)
+	total, err := a.payloadDemand(n)
 	if err != nil {
 		return NilOffset, NilOffset, err
 	}
-	return heads[0], tails[0], nil
+	if err := a.lockFree(total, wait, stop); err != nil {
+		return NilOffset, NilOffset, err
+	}
+	head, tail = a.payloadChainLocked(n)
+	a.mu.Unlock()
+	return head, tail, nil
+}
+
+// payloadDemand returns the worst-case block demand of payloads of the
+// given lengths, refusing a negative length and a demand the region
+// could never meet (which would otherwise wait forever).
+func (a *Arena) payloadDemand(ns ...int) (int32, error) {
+	total := 0
+	for _, n := range ns {
+		if n < 0 {
+			return 0, fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
+		}
+		total += a.BlocksFor(n)
+	}
+	if total > int(a.nBlocks) {
+		return 0, fmt.Errorf("shm: AllocPayloads batch of %d blocks exceeds region of %d: %w",
+			total, a.nBlocks, ErrOutOfBlocks)
+	}
+	return int32(total), nil
 }
 
 // AllocPayloads is the batch form of AllocPayload: one chain per payload
@@ -655,61 +688,23 @@ func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail
 // L*blockSize-4 >= L*(blockSize-4) payload bytes, so once that demand is
 // free the greedy span builder cannot run out.
 func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
-	if !a.spans {
-		blocks := make([]int, len(ns))
-		for i, n := range ns {
-			blocks[i] = a.BlocksFor(n)
-		}
-		return a.AllocChains(blocks, wait, stop)
-	}
-	total := int32(0)
-	for _, n := range ns {
-		if n < 0 {
-			return nil, nil, fmt.Errorf("shm: AllocPayloads payload of %d bytes", n)
-		}
-		total += int32(a.BlocksFor(n))
-	}
 	if len(ns) == 0 {
 		return nil, nil, nil
 	}
-	if total > a.nBlocks {
-		return nil, nil, fmt.Errorf("shm: AllocPayloads batch of %d blocks exceeds region of %d: %w",
-			total, a.nBlocks, ErrOutOfBlocks)
+	total, err := a.payloadDemand(ns...)
+	if err != nil {
+		return nil, nil, err
 	}
-	for {
-		a.mu.Lock()
-		if a.nFree >= total {
-			heads = make([]int32, len(ns))
-			tails = make([]int32, len(ns))
-			for i, n := range ns {
-				heads[i], tails[i] = a.spanChainLocked(n)
-			}
-			a.mu.Unlock()
-			return heads, tails, nil
-		}
-		if !wait {
-			a.stats.AllocFails++
-			a.mu.Unlock()
-			return nil, nil, ErrOutOfBlocks
-		}
-		a.stats.AllocBlocks++
-		a.waiters++
-		ch := a.cond.ch
-		a.mu.Unlock()
-		aborted := false
-		select {
-		case <-ch:
-			// Frees arrived; retry the whole reservation.
-		case <-stop:
-			aborted = true
-		}
-		a.mu.Lock()
-		a.waiters--
-		a.mu.Unlock()
-		if aborted {
-			return nil, nil, ErrOutOfBlocks
-		}
+	if err := a.lockFree(total, wait, stop); err != nil {
+		return nil, nil, err
 	}
+	heads = make([]int32, len(ns))
+	tails = make([]int32, len(ns))
+	for i, n := range ns {
+		heads[i], tails[i] = a.payloadChainLocked(n)
+	}
+	a.mu.Unlock()
+	return heads, tails, nil
 }
 
 // Free returns one block (or, in span mode, the whole span starting at
