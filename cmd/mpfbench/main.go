@@ -26,8 +26,8 @@
 //
 // -select runs the selector-scaling benchmark: spurious wakeups per
 // delivered message versus idle-circuit count for the Selector and the
-// per-circuit-waiter ReceiveAny against the legacy global activity
-// pulse (the thundering herd).
+// per-circuit-waiter ReceiveAny against a model of the old global
+// activity pulse (the thundering herd).
 //
 // -copies runs the copy ablation: delivered throughput across payload
 // sizes and BROADCAST fan-out for the paper plane (classic chains, two

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +19,10 @@ import (
 // synchronized spikes. The per-circuit waiter lists wake only the loop
 // whose circuit the message landed on. This benchmark parks several
 // multiplexed consumers, drives traffic at exactly one of them, and
-// reads the facility's MuxWakeups/MuxSpurious counters to compare the
-// three wakeup schemes on otherwise identical workloads.
+// compares the three wakeup schemes on otherwise identical workloads:
+// the facility's MuxWakeups/MuxSpurious counters for the two it
+// implements, and the global-pulse model's own counters for the
+// pre-selector baseline (globalPulse below).
 
 // MuxMode selects the multiplexing scheme a herd run uses.
 type MuxMode uint8
@@ -30,9 +33,9 @@ const (
 	// MuxAnyWaiters parks each consumer in ReceiveAny over the
 	// per-circuit waiter lists (the default implementation).
 	MuxAnyWaiters
-	// MuxAnyGlobalPulse parks each consumer in ReceiveAny over the
-	// legacy facility-wide pulse (WithGlobalPulseMux) — the ablation
-	// baseline.
+	// MuxAnyGlobalPulse parks each consumer on a model of the
+	// pre-selector ReceiveAny: one shared channel the producer pulses
+	// after every Send (globalPulse) — the ablation baseline.
 	MuxAnyGlobalPulse
 )
 
@@ -83,8 +86,9 @@ func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResul
 		mpf.WithMaxLNVCs(waiters*circuitsPer + 4),
 		mpf.WithBlocksPerProcess(blocksFor(16, 2*msgs/(waiters+1)+16)),
 	}
+	var pulse *globalPulse
 	if mode == MuxAnyGlobalPulse {
-		opts = append(opts, mpf.WithGlobalPulseMux())
+		pulse = newGlobalPulse()
 	}
 	fac, err := mpf.New(opts...)
 	if err != nil {
@@ -99,6 +103,7 @@ func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResul
 	producer := waiters // pid
 	var done atomic.Bool
 	var base mpf.Stats // counters at traffic start (set by producer)
+	var pulseBase [2]uint64
 	var elapsed atomic.Int64
 
 	err = fac.Run(waiters+1, func(p *mpf.Process) (err error) {
@@ -138,11 +143,17 @@ func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResul
 				return err
 			}
 			base = fac.Stats()
+			if pulse != nil {
+				pulseBase = pulse.counts()
+			}
 			start := time.Now()
 			payload := make([]byte, 16)
 			for k := 0; k < msgs; k++ {
 				if err := s.Send(payload); err != nil {
 					return err
+				}
+				if pulse != nil {
+					pulse.fire()
 				}
 				time.Sleep(pace)
 			}
@@ -217,6 +228,18 @@ func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResul
 						got++
 					}
 				}
+			} else if pulse != nil {
+				ok, err := pulse.receiveAny(conns, buf, parkTTL)
+				if err != nil {
+					if errors.Is(err, mpf.ErrShutdown) {
+						return nil
+					}
+					return err
+				}
+				if !ok {
+					continue
+				}
+				got++
 			} else {
 				_, _, err := p.ReceiveAnyDeadline(conns, buf, parkTTL)
 				if err != nil {
@@ -242,11 +265,84 @@ func NativeSelectorHerd(mode MuxMode, waiters, circuitsPer, msgs int) (HerdResul
 	st := fac.Stats()
 	wake := float64(st.MuxWakeups - base.MuxWakeups)
 	spur := float64(st.MuxSpurious - base.MuxSpurious)
+	if pulse != nil {
+		c := pulse.counts()
+		wake = float64(c[0] - pulseBase[0])
+		spur = float64(c[1] - pulseBase[1])
+	}
 	return HerdResult{
 		MsgsPerSec:     rate(msgs, time.Duration(elapsed.Load())),
 		WakeupsPerMsg:  wake / float64(msgs),
 		SpuriousPerMsg: spur / float64(msgs),
 	}, nil
+}
+
+// globalPulse models the pre-selector ReceiveAny wakeup scheme: one
+// facility-wide channel that every Send closes and replaces, so every
+// parked consumer wakes to rescan all of its circuits on every send
+// anywhere. It counts park wakeups and spurious wakeups (those that
+// found nothing) with the facility's MuxWakeups/MuxSpurious rules.
+type globalPulse struct {
+	mu                sync.Mutex
+	ch                chan struct{}
+	wakeups, spurious atomic.Uint64
+}
+
+func newGlobalPulse() *globalPulse { return &globalPulse{ch: make(chan struct{})} }
+
+// arm returns the channel the next fire closes.
+func (g *globalPulse) arm() <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.ch
+}
+
+// fire wakes every consumer parked on the pulse.
+func (g *globalPulse) fire() {
+	g.mu.Lock()
+	ch := g.ch
+	g.ch = make(chan struct{})
+	g.mu.Unlock()
+	close(ch)
+}
+
+func (g *globalPulse) counts() [2]uint64 {
+	return [2]uint64{g.wakeups.Load(), g.spurious.Load()}
+}
+
+// receiveAny is ReceiveAny under the pulse: arm, poll every circuit with
+// TryReceive, park on the pulse, repeat. Arming before the poll means a
+// send landing between the poll and the park still wakes it. It reports
+// false when ttl passes with nothing received.
+func (g *globalPulse) receiveAny(conns []*mpf.RecvConn, buf []byte, ttl time.Duration) (bool, error) {
+	timer := time.NewTimer(ttl)
+	defer timer.Stop()
+	woken := false
+	for {
+		ch := g.arm()
+		for _, rc := range conns {
+			_, ok, err := rc.TryReceive(buf)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				if woken {
+					g.wakeups.Add(1)
+				}
+				return true, nil
+			}
+		}
+		if woken {
+			g.wakeups.Add(1)
+			g.spurious.Add(1)
+		}
+		select {
+		case <-ch:
+			woken = true
+		case <-timer.C:
+			return false, nil
+		}
+	}
 }
 
 // HerdWaiters is the consumer count the selector sweep parks.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -13,12 +15,11 @@ import (
 //
 // The paper's MPF has no multi-circuit wait; programs polled with
 // check_receive (the random benchmark's structure). ReceiveAny is the
-// blocking equivalent. It registers a one-shot waiter on each circuit's
-// waiter list (waiter.go), polls with the atomic TryReceive claim, and
-// parks; only a Send on one of *these* circuits — or a close that
-// affects them — wakes it. The pre-selector scheme, one facility-wide
-// pulse waking every waiter on every Send, survives behind
-// Config.GlobalPulseMux as the benchmark's ablation baseline.
+// blocking equivalent, built on a transient Selector: it adds every
+// circuit (a repeated id is accepted once), waits, receives from the
+// ready circuits with the atomic TryReceive claim in round-robin order,
+// and closes the selector on return. Only a Send on one of *these*
+// circuits — or a close that affects them — wakes it.
 //
 // A CloseReceive on one of the circuits (or facility Shutdown) while
 // parked wakes the call, which then returns ErrNotConnected (resp.
@@ -38,170 +39,53 @@ func (f *Facility) ReceiveAnyDeadline(pid int, ids []ID, buf []byte, d time.Dura
 }
 
 func (f *Facility) receiveAny(pid int, ids []ID, buf []byte, deadline *time.Time) (int, int, error) {
-	if err := f.checkPID(pid); err != nil {
+	s, err := f.NewSelector(pid)
+	if err != nil {
 		return 0, 0, err
 	}
+	defer s.Close()
 	if len(ids) == 0 {
 		return 0, 0, fmt.Errorf("%w: ReceiveAny with no circuits", ErrBadLNVC)
 	}
-	if f.cfg.GlobalPulseMux {
-		return f.receiveAnyGlobal(pid, ids, buf, deadline)
-	}
-
-	// Validate every connection and register one shared one-shot waiter
-	// before the first poll. Registration-before-poll is what closes
-	// the wakeup race: a message enqueued after a circuit was polled
-	// leaves its signal in the channel, so the park below returns
-	// immediately instead of sleeping through it.
-	w := &muxWaiter{ch: make(chan struct{}, 1)}
-	regs := make([]*lnvc, 0, len(ids))
-	defer func() {
-		for _, l := range regs {
-			l.lock.Lock()
-			l.removeWaiterLocked(w)
-			l.lock.Unlock()
-		}
-	}()
+	// Registration before the first poll closes the wakeup race: Add
+	// marks a circuit that already holds a message ready, and a message
+	// enqueued later fires the registration.
 	for _, id := range ids {
-		l, err := f.lookup(id)
+		if err := s.Add(id); err != nil && !errors.Is(err, ErrAlreadyOpen) {
+			return 0, 0, err
+		}
+	}
+	start := f.anyStart(pid, len(ids))
+	for {
+		ready, err := s.wait(deadline)
 		if err != nil {
 			return 0, 0, err
 		}
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.recvs[pid] == nil {
-			l.lock.Unlock()
-			return 0, 0, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.addWaiterLocked(w)
-		l.lock.Unlock()
-		regs = append(regs, l)
-	}
-
-	start := f.anyStart(pid, len(ids))
-	woken := false
-	for {
-		if f.stopped.Load() {
-			return 0, 0, ErrShutdown
-		}
-		// Drain a stale signal before polling so a fire landing during
-		// the poll re-arms the channel for the park below.
-		select {
-		case <-w.ch:
-		default:
-		}
-		for k := 0; k < len(ids); k++ {
+		for k := range ids {
 			i := (start + k) % len(ids)
-			n, ok, err := f.tryReceive(pid, ids[i], buf)
+			if !slices.Contains(ready, ids[i]) {
+				continue
+			}
+			// A sibling FCFS receiver may claim first: then the circuit
+			// is simply not ready any more and the next wait says so.
+			n, ok, err := f.receive(pid, ids[i], buf, false, nil)
 			if err != nil {
-				// Covers a circuit closed while parked: the close woke
-				// the waiter and TryReceive reports ErrNotConnected.
 				return 0, 0, err
 			}
 			if ok {
-				if woken {
-					f.stats.muxWakeups.Add(1)
-				}
 				f.setAnyStart(pid, i+1)
 				f.trace(Event{Op: OpReceive, PID: pid, LNVC: ids[i], Bytes: n})
 				return i, n, nil
 			}
 		}
-		if woken {
-			f.stats.muxWakeups.Add(1)
-			f.stats.muxSpurious.Add(1)
-		}
-		ok, err := parkWait(w.ch, f.stop, deadline)
-		if err != nil {
-			return 0, 0, err
-		}
-		woken = ok
-	}
-}
-
-// receiveAnyGlobal is the pre-selector implementation, kept verbatim
-// (plus wakeup accounting) as the ablation baseline: it sleeps on the
-// facility-wide activity channel that every Send — and, for prompt
-// close-race handling, every close — pulses, so every parked waiter
-// wakes to rescan all of its circuits on every send anywhere.
-func (f *Facility) receiveAnyGlobal(pid int, ids []ID, buf []byte, deadline *time.Time) (int, int, error) {
-	// Validate connections up front so misuse fails immediately rather
-	// than blocking forever.
-	for _, id := range ids {
-		l, err := f.lookup(id)
-		if err != nil {
-			return 0, 0, err
-		}
-		l.lock.Lock()
-		_, ok := l.recvs[pid]
-		l.lock.Unlock()
-		if !ok {
-			return 0, 0, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-	}
-	start := f.anyStart(pid, len(ids))
-	woken := false
-	for {
-		if f.stopped.Load() {
-			return 0, 0, ErrShutdown
-		}
-		// Arm before polling: a send landing between the poll and the
-		// wait still pulses this round's channel.
-		ch := f.activityChan()
-		for k := 0; k < len(ids); k++ {
-			i := (start + k) % len(ids)
-			n, ok, err := f.tryReceive(pid, ids[i], buf)
-			if err != nil {
-				return 0, 0, err
-			}
-			if ok {
-				if woken {
-					f.stats.muxWakeups.Add(1)
-				}
-				f.setAnyStart(pid, i+1)
-				f.trace(Event{Op: OpReceive, PID: pid, LNVC: ids[i], Bytes: n})
-				return i, n, nil
-			}
-		}
-		if woken {
-			f.stats.muxWakeups.Add(1)
-			f.stats.muxSpurious.Add(1)
-		}
-		ok, err := parkWait(ch, f.stop, deadline)
-		if err != nil {
-			return 0, 0, err
-		}
-		woken = ok
-	}
-}
-
-// activityChan returns the channel pulsed by the next Send (legacy
-// GlobalPulseMux mode only).
-func (f *Facility) activityChan() <-chan struct{} {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
-	if f.activity == nil {
-		f.activity = make(chan struct{})
-	}
-	return f.activity
-}
-
-// pulseActivity wakes every parked receiveAnyGlobal waiter; called by
-// Send and the close path when GlobalPulseMux is on.
-func (f *Facility) pulseActivity() {
-	f.activityMu.Lock()
-	ch := f.activity
-	f.activity = nil
-	f.activityMu.Unlock()
-	if ch != nil {
-		close(ch)
 	}
 }
 
 // anyStart and setAnyStart keep per-process round-robin cursors for
 // ReceiveAny fairness.
 func (f *Facility) anyStart(pid, n int) int {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
+	f.anyMu.Lock()
+	defer f.anyMu.Unlock()
 	if f.anyCursor == nil {
 		f.anyCursor = make(map[int]int)
 	}
@@ -209,8 +93,8 @@ func (f *Facility) anyStart(pid, n int) int {
 }
 
 func (f *Facility) setAnyStart(pid, v int) {
-	f.activityMu.Lock()
-	defer f.activityMu.Unlock()
+	f.anyMu.Lock()
+	defer f.anyMu.Unlock()
 	if f.anyCursor == nil {
 		f.anyCursor = make(map[int]int)
 	}

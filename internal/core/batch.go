@@ -9,11 +9,11 @@ import (
 
 // Batched send and receive. The single-message primitives pay their
 // fixed costs — registry lookup, LNVC lock acquisition, condition
-// broadcast, activity pulse, arena free-list lock — once per message.
-// The batch primitives pay them once per *batch*: SendBatch allocates
-// every payload block in one arena transaction (shm.Arena.AllocChains),
-// links the whole chain of messages into the FIFO under one LNVC lock
-// acquisition, and wakes waiters once; ReceiveBatch claims as many
+// broadcast, arena free-list lock — once per message. The batch
+// primitives pay them once per *batch*: SendBatch is one admit, one
+// arena transaction (msg.Pool.BuildBatch) and one publish, which links
+// the whole run of messages into the FIFO under one LNVC lock
+// acquisition and wakes waiters once; ReceiveBatch claims as many
 // queued messages as the caller has buffers under one acquisition and
 // copies them out together. At high concurrency this is what flattens
 // the contention curves the paper's Figures 4-6 show bending over (see
@@ -35,85 +35,23 @@ func (f *Facility) SendBatch(pid int, id ID, bufs [][]byte) error {
 }
 
 func (f *Facility) sendBatch(pid int, id ID, bufs [][]byte, total int) error {
-	if err := f.checkPID(pid); err != nil {
-		return err
-	}
-	if f.stopped.Load() {
-		return ErrShutdown
-	}
 	blocks := 0
 	for _, b := range bufs {
 		blocks += f.arena.BlocksFor(len(b))
 	}
-	if blocks > f.arena.NumBlocks() {
-		return fmt.Errorf("%w: batch of %d bytes in %d blocks, region holds %d blocks",
-			ErrMessageTooBig, total, blocks, f.arena.NumBlocks())
-	}
-	l, err := f.lookup(id)
-	if err != nil {
+	t, err := f.admit(pid, id, len(bufs), total, blocks)
+	if err != nil || len(bufs) == 0 {
 		return err
 	}
-	// Fail fast before the (possibly blocking) allocation, then recheck
-	// under the lock after it, exactly as the single-message send does.
-	// With credit configured the whole batch's demand is debited in one
-	// acquisition — batch-level admission, mirroring the batch's single
-	// arena transaction below — and the connection check rides along
-	// with the debit.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 && len(bufs) > 0 {
-		creditBlocks = blocks
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
-	}
-	if len(bufs) == 0 {
-		return nil
-	}
-
 	// One arena transaction for the whole batch; the copies into the
 	// blocks happen outside the LNVC lock.
-	msgs, buildErr := f.pool.BuildBatch(pid, bufs, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return ErrShutdown
-		}
-		return fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
+	msgs, err := f.pool.BuildBatch(pid, bufs, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	if err := t.built(err); err != nil {
+		return err
 	}
-
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name through the shard free list — while the copies ran.
-	if f.slots[id].Load() != l || l.sends[pid] == nil {
-		l.lock.Unlock()
-		for _, m := range msgs {
-			f.pool.Release(m)
-		}
-		f.refundCredit(l, creditGen, creditBlocks)
-		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
+	if err := t.publish(msgs, len(msgs)); err != nil {
+		return err
 	}
-	for _, m := range msgs {
-		m.Pending = l.nBcast
-		m.FCFSNeeded = true
-		l.queue.Enqueue(m)
-	}
-	l.cond.Broadcast() // one wakeup for the whole batch
-	l.wakeWaitersLocked()
-	l.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
-
 	f.stats.sends.Add(uint64(len(msgs)))
 	f.stats.batchSends.Add(1)
 	f.stats.bytesSent.Add(uint64(total))
@@ -146,77 +84,25 @@ func (f *Facility) ReceiveBatchDeadline(pid int, id ID, bufs [][]byte, d time.Du
 }
 
 func (f *Facility) receiveBatch(pid int, id ID, bufs [][]byte, deadline *time.Time) ([]int, error) {
-	if err := f.checkPID(pid); err != nil {
+	// Every claim pins its message; the copies happen outside the lock
+	// and one unpinAll ends them all.
+	claimed := make([]*msg.Message, len(bufs))
+	c, n, err := f.claimWait(pid, id, claimed, false, true, deadline)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	l.lock.Lock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		l.lock.Unlock()
-		return nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	if len(bufs) == 0 {
-		l.lock.Unlock()
-		return nil, nil
-	}
-	waited := false
-	var wake *deadlineWake
-	if deadline != nil {
-		wake = armDeadline(l, *deadline)
-		defer wake.timer.Stop()
-	}
-	for {
-		if f.stopped.Load() {
-			l.lock.Unlock()
-			return nil, ErrShutdown
-		}
-		if l.recvs[pid] != d {
-			// Connection closed while parked; see receive.
-			l.lock.Unlock()
-			return nil, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		if l.availableLocked(d) != nil {
-			break
-		}
-		if wake != nil && wake.expired(*deadline) {
-			l.lock.Unlock()
-			return nil, ErrTimeout
-		}
-		waited = true
-		l.cond.Wait()
-	}
-	if waited {
-		f.stats.receiveWaits.Add(1)
-	}
-
-	// Claim every deliverable message (up to the buffer count) under the
-	// one lock hold, pinning each; the copies happen outside the lock.
-	claimed := make([]*msg.Message, 0, len(bufs))
-	for len(claimed) < len(bufs) {
-		m := l.availableLocked(d)
-		if m == nil {
-			break
-		}
-		l.claimLocked(d, m, false)
-		claimed = append(claimed, m)
-	}
-	l.lock.Unlock()
-
-	ns := make([]int, len(claimed))
+	claimed = claimed[:n]
+	ns := make([]int, n)
 	total := 0
 	for i, m := range claimed {
 		ns[i] = f.pool.Extract(m, bufs[i])
 		total += ns[i]
 	}
-	f.stats.payloadCopiesOut.Add(uint64(len(claimed)))
+	f.stats.payloadCopiesOut.Add(uint64(n))
 
-	f.unpinAll(l, claimed)
+	f.unpinAll(c.l, claimed)
 
-	f.stats.receives.Add(uint64(len(claimed)))
+	f.stats.receives.Add(uint64(n))
 	f.stats.batchReceives.Add(1)
 	f.stats.bytesRecvd.Add(uint64(total))
 	return ns, nil

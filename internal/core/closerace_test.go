@@ -63,40 +63,34 @@ func TestReceiveBatchCloseWhileParked(t *testing.T) {
 }
 
 func TestReceiveAnyCloseWhileParked(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "waiter-lists"
-		if legacy {
-			name = "global-pulse"
+	t.Run("waiter-lists", func(t *testing.T) {
+		f, err := Init(Config{MaxLNVCs: 8, MaxProcesses: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			f, err := Init(Config{MaxLNVCs: 8, MaxProcesses: 4, GlobalPulseMux: legacy})
-			if err != nil {
-				t.Fatal(err)
+		defer f.Shutdown()
+		_, _ = f.OpenSend(0, "cr-any-a")
+		_, _ = f.OpenSend(0, "cr-any-b")
+		ra, _ := f.OpenReceive(1, "cr-any-a", FCFS)
+		rb, _ := f.OpenReceive(1, "cr-any-b", FCFS)
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := f.ReceiveAny(1, []ID{ra, rb}, make([]byte, 8))
+			errc <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		if err := f.CloseReceive(1, rb); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-errc:
+			if !errors.Is(err, ErrNotConnected) {
+				t.Fatalf("parked ReceiveAny returned %v, want ErrNotConnected", err)
 			}
-			defer f.Shutdown()
-			_, _ = f.OpenSend(0, "cr-any-a")
-			_, _ = f.OpenSend(0, "cr-any-b")
-			ra, _ := f.OpenReceive(1, "cr-any-a", FCFS)
-			rb, _ := f.OpenReceive(1, "cr-any-b", FCFS)
-			errc := make(chan error, 1)
-			go func() {
-				_, _, err := f.ReceiveAny(1, []ID{ra, rb}, make([]byte, 8))
-				errc <- err
-			}()
-			time.Sleep(20 * time.Millisecond)
-			if err := f.CloseReceive(1, rb); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-errc:
-				if !errors.Is(err, ErrNotConnected) {
-					t.Fatalf("parked ReceiveAny returned %v, want ErrNotConnected", err)
-				}
-			case <-time.After(closeRacePatience):
-				t.Fatal("parked ReceiveAny hung across CloseReceive")
-			}
-		})
-	}
+		case <-time.After(closeRacePatience):
+			t.Fatal("parked ReceiveAny hung across CloseReceive")
+		}
+	})
 }
 
 func TestSelectorCloseReceiveWhileParked(t *testing.T) {

@@ -64,6 +64,17 @@
 //     circuit that dies meanwhile neither drops nor orphans it. Every
 //     other claim — shared messages, views — pins the message, and the
 //     last unpin runs the rule-3 reclaim.
+//
+// # One send path, one receive path
+//
+// Like the paper's MPF, the facility has one message_send and one
+// message_receive. Every send primitive — Send, SendBatch,
+// SendLoan/Commit, LoanBatch/CommitN — is the send core's admit,
+// its own block fill, and publish (send.go). Every circuit receive —
+// Receive, TryReceive, ReceiveView, TryReceiveView, ReceiveBatch — is
+// one claimWait (receive.go), and the selector's harvest claims through
+// the same claimUpToLocked. ReceiveAny runs on a transient Selector
+// (any.go).
 package core
 
 import (
@@ -188,14 +199,6 @@ type Config struct {
 	// every block offset the facility hands out is resolvable by any
 	// process that mapped the same segment. The memory must be zeroed.
 	ArenaMem []byte
-	// GlobalPulseMux reverts ReceiveAny to the pre-selector wakeup
-	// scheme: every Send pulses one facility-wide activity channel and
-	// every parked ReceiveAny waiter wakes to rescan all of its
-	// circuits. It exists purely as the ablation baseline the
-	// selector-scaling benchmark compares against (the thundering
-	// herd); leave it off in real use. Selectors always use the
-	// per-circuit waiter lists regardless of this knob.
-	GlobalPulseMux bool
 	// AutoHarvestMin and AutoHarvestMax, when positive, enable the
 	// selector's adaptive harvest mode and bound its budget window: a
 	// HarvestViews/WaitViews call with budget <= 0 sizes the round from
@@ -425,15 +428,10 @@ type Facility struct {
 	stop    chan struct{}
 	stopped atomic.Bool
 
-	// activity is the legacy facility-wide pulse, used only when
-	// Config.GlobalPulseMux selects the ablation baseline: every Send
-	// closes and replaces it, waking every parked ReceiveAny. The real
-	// wakeup path is the per-circuit waiter lists (waiter.go).
 	// anyCursor holds per-process round-robin scan positions for
-	// ReceiveAny fairness. Both guarded by activityMu.
-	activityMu spinlock.TAS
-	activity   chan struct{}
-	anyCursor  map[int]int
+	// ReceiveAny fairness, guarded by anyMu.
+	anyMu     spinlock.TAS
+	anyCursor map[int]int
 
 	stats statsCell
 }

@@ -16,8 +16,8 @@ import (
 //   - Config.CreditBlocks grants every circuit a receiver-side budget,
 //     accounted in blocks — the unit the arena actually allocates and
 //     the same worst-case BlocksFor demand the capacity checks use.
-//   - Send/SendBatch/SendLoan/LoanBatch debit the budget at allocation
-//     time, under the circuit lock. A send that would overdraw parks on
+//   - The send core's admit (send.go) debits the budget for the whole
+//     call's block demand before allocation, under the circuit lock. A send that would overdraw parks on
 //     a per-circuit credit waiter list (BlockUntilFree) or returns
 //     ErrNoCredit (FailFast). Waiter lists keep wakeups O(parked on
 //     this circuit), exactly like the receive-side waiter lists they
@@ -25,9 +25,9 @@ import (
 //   - Credits return to the budget when the message's blocks return to
 //     the region while the circuit lives: the reclaim scan re-grants
 //     every victim's Message.Blocks and wakes parked senders in batch.
-//     A loan abort (Loan.Abort, LoanBatch.AbortAll, the aborted tail of
-//     a CommitN, a commit that lost its circuit) refunds its
-//     never-enqueued demand the same way.
+//     A send that never reaches the FIFO (a failed allocation,
+//     Loan.Abort, LoanBatch.AbortAll, the aborted tail of a CommitN, a
+//     publish that lost its circuit) refunds its demand the same way.
 //   - A circuit that dies zeroes its ledger: unread messages are
 //     dropped (their credits die with the circuit) and pinned messages
 //     are orphaned to their pin holders — the orphan's blocks go back

@@ -43,7 +43,10 @@ import (
 // receiver churn and close too; op 14 is the same harvest with budget
 // 0 — the adaptive (EWMA-sized, fairness-capped) rounds the facility's
 // AutoHarvest window enables — so the cap is checked against the same
-// no-drop/no-duplicate stream invariants across receiver churn.
+// no-drop/no-duplicate stream invariants across receiver churn. Op 15
+// covers the copying batch plane: a SendBatch of two, or with the high
+// bit a ReceiveBatch of up to two on pid 1, run only after
+// CheckReceive reports a message so the script never blocks.
 // FailFast keeps pool exhaustion from blocking the fuzzer — a refused
 // send is simply not recorded.
 //
@@ -80,6 +83,7 @@ func FuzzProtocolInvariants(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 8, 8, 13, 12, 9, 13, 6, 5, 13, 1, 1, 1, 7, 13})
 	f.Add([]byte{8, 14, 0, 0, 14, 5, 14, 2, 7, 7, 14, 5, 1, 1, 1, 1, 7, 7})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 14, 14, 14, 11, 14, 7, 7, 7, 7, 7, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{15, 0x8f, 15, 0, 0x8f, 0x8f, 2, 3, 15, 5, 0x8f, 6, 13, 4, 4, 7, 0x8f})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
@@ -173,6 +177,23 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 	)
 	buf := make([]byte, 8)
 
+	// fcfsConsume checks one FCFS delivery of n bytes in b: exactly
+	// once, and next in send order.
+	fcfsConsume := func(pid, n int, b []byte) {
+		if n != 8 {
+			t.Fatalf("FCFS pid %d got %d bytes", pid, n)
+		}
+		stamp := binary.BigEndian.Uint64(b)
+		fcfsSeen[stamp]++
+		if fcfsSeen[stamp] > 1 {
+			t.Fatalf("message %d consumed %d times by FCFS", stamp, fcfsSeen[stamp])
+		}
+		if stamp != fcfsOrder {
+			t.Fatalf("FCFS consumed %d, want next-in-order %d", stamp, fcfsOrder)
+		}
+		fcfsOrder++
+	}
+
 	stampOf := func(v *View) uint64 {
 		var b [8]byte
 		if n := v.CopyTo(b[:]); n != 8 {
@@ -223,6 +244,23 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		nextSeq++
 		sent++
 	}
+	// sendBatch is op 15's send half: two stamped messages in one
+	// SendBatch, enqueued together or not at all.
+	sendBatch := func() {
+		bufs := [][]byte{make([]byte, 8), make([]byte, 8)}
+		for j, b := range bufs {
+			binary.BigEndian.PutUint64(b, nextSeq+uint64(j))
+		}
+		err := fac.SendBatch(0, sid, bufs)
+		if errors.Is(err, ErrNoMemory) || errors.Is(err, ErrNoCredit) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("send batch at %d: %v", nextSeq, err)
+		}
+		nextSeq += 2
+		sent += 2
+	}
 	fcfsRecv := func(pid int, id ID) {
 		n, ok, err := fac.TryReceive(pid, id, buf)
 		if err != nil {
@@ -231,18 +269,30 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 		if !ok {
 			return
 		}
-		if n != 8 {
-			t.Fatalf("FCFS pid %d got %d bytes", pid, n)
+		fcfsConsume(pid, n, buf)
+	}
+	// fcfsBatch is op 15's receive half: a ReceiveBatch of up to two on
+	// pid 1, only when CheckReceive reports a message, so it never
+	// parks (pid 1 is the only goroutine that could consume it first).
+	fcfsBatch := func() {
+		ok, err := fac.CheckReceive(1, fcfs1)
+		if err != nil {
+			t.Fatalf("FCFS CheckReceive: %v", err)
 		}
-		stamp := binary.BigEndian.Uint64(buf)
-		fcfsSeen[stamp]++
-		if fcfsSeen[stamp] > 1 {
-			t.Fatalf("message %d consumed %d times by FCFS", stamp, fcfsSeen[stamp])
+		if !ok {
+			return
 		}
-		if stamp != fcfsOrder {
-			t.Fatalf("FCFS consumed %d, want next-in-order %d", stamp, fcfsOrder)
+		bufs := [][]byte{make([]byte, 8), make([]byte, 8)}
+		ns, err := fac.ReceiveBatch(1, fcfs1, bufs)
+		if err != nil {
+			t.Fatalf("FCFS ReceiveBatch: %v", err)
 		}
-		fcfsOrder++
+		if len(ns) == 0 {
+			t.Fatal("ReceiveBatch after a positive CheckReceive returned nothing")
+		}
+		for i, n := range ns {
+			fcfsConsume(1, n, bufs[i])
+		}
 	}
 	bcastRecv := func(pid int, id ID, viaView bool) {
 		var stamp uint64
@@ -447,9 +497,12 @@ func runProtocolScript(t *testing.T, script []byte, segmentBacked bool) {
 			checkLedger()
 		case 14:
 			harvestViews(0) // adaptive budget + fairness cap
-		default:
-			// 15 reserved; treated as a no-op so a future op can
-			// claim it without invalidating today's corpus.
+		case 15:
+			if viaZC {
+				fcfsBatch()
+			} else {
+				sendBatch()
+			}
 		}
 	}
 

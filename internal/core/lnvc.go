@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/msg"
 	"repro/internal/spinlock"
@@ -55,8 +54,8 @@ type lnvc struct {
 	nFCFS  int // count of FCFS receive connections
 	nBcast int // count of BROADCAST receive connections
 
-	// waiters are the parked multiplexer registrations (ReceiveAny
-	// parks, Selector memberships) on this circuit; enqueue and close
+	// waiters are the registrations of the Selectors watching this
+	// circuit (ReceiveAny runs on a transient one); enqueue and close
 	// wake exactly these (see waiter.go). gen counts descriptor
 	// incarnations: reset bumps it, and selectors compare it so a
 	// registration on a dead circuit can never be satisfied by a new
@@ -381,418 +380,8 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 		f.stats.messagesDropped.Add(uint64(dropped))
 	}
 	s.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
 	f.pool.ReleaseBatch(drop)
 	return nil
-}
-
-// Send transfers buf asynchronously to the LNVC: the payload is copied
-// into chained message blocks and the message is appended to the FIFO
-// (paper §2, message_send). The sender proceeds as soon as the copy
-// completes.
-func (f *Facility) Send(pid int, id ID, buf []byte) error {
-	err := f.send(pid, id, buf)
-	f.trace(Event{Op: OpSend, PID: pid, LNVC: id, Bytes: len(buf), Err: err})
-	return err
-}
-
-func (f *Facility) send(pid int, id ID, buf []byte) error {
-	if err := f.checkPID(pid); err != nil {
-		return err
-	}
-	if f.stopped.Load() {
-		return ErrShutdown
-	}
-	if f.arena.BlocksFor(len(buf)) > f.arena.NumBlocks() {
-		return fmt.Errorf("%w: %d bytes, region holds %d", ErrMessageTooBig, len(buf), f.arena.NumBlocks()*f.arena.PayloadSize())
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return err
-	}
-	// Connection check is done before the (possibly blocking) copy so an
-	// unconnected sender fails fast, and rechecked after under the lock.
-	// With credit configured the check rides along with the debit, which
-	// parks here (not holding any lock) until the budget can cover the
-	// message.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 {
-		creditBlocks = f.arena.BlocksFor(len(buf))
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
-	}
-
-	// First copy: user buffer into message blocks. This happens outside
-	// the LNVC lock, which is what lets BROADCAST receivers and other
-	// senders proceed concurrently (the concurrency Figure 5 measures).
-	m, buildErr := f.pool.Build(pid, buf, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return ErrShutdown
-		}
-		return fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name through the shard free list — while the copy ran.
-	if f.slots[id].Load() != l || l.sends[pid] == nil {
-		l.lock.Unlock()
-		f.pool.Release(m)
-		f.refundCredit(l, creditGen, creditBlocks)
-		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	m.Pending = l.nBcast
-	m.FCFSNeeded = true
-	l.queue.Enqueue(m)
-	l.cond.Broadcast()
-	l.wakeWaitersLocked()
-	l.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
-
-	f.stats.sends.Add(1)
-	f.stats.bytesSent.Add(uint64(len(buf)))
-	f.stats.payloadCopiesIn.Add(1)
-	return nil
-}
-
-// Receive blocks until a message is available for pid's connection, then
-// copies it into buf and returns the number of bytes transferred (paper
-// §2, message_receive; the copy is truncated to len(buf)).
-func (f *Facility) Receive(pid int, id ID, buf []byte) (int, error) {
-	n, err := f.receive(pid, id, buf, nil)
-	f.trace(Event{Op: OpReceive, PID: pid, LNVC: id, Bytes: n, Err: err})
-	return n, err
-}
-
-// ReceiveDeadline is Receive with a bound on the wait: if no message
-// becomes available within d it returns ErrTimeout. The original MPF had
-// no timed receive (check_receive plus polling was the idiom); this is
-// the blocking-with-deadline variant a modern caller expects, and the
-// examples use it to turn potential deadlocks into diagnosable errors.
-func (f *Facility) ReceiveDeadline(pid int, id ID, buf []byte, d time.Duration) (int, error) {
-	if d <= 0 {
-		return 0, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
-	}
-	deadline := time.Now().Add(d)
-	n, err := f.receive(pid, id, buf, &deadline)
-	f.trace(Event{Op: OpReceive, PID: pid, LNVC: id, Bytes: n, Err: err})
-	return n, err
-}
-
-func (f *Facility) receive(pid int, id ID, buf []byte, deadline *time.Time) (int, error) {
-	c, err := f.waitClaim(pid, id, deadline, true)
-	if err != nil {
-		return 0, err
-	}
-	return f.copyOut(c, buf), nil
-}
-
-// copyOut makes the second of the paper's two copies — blocks → user
-// buffer — for a copying receive's claim and then ends the claim. The
-// copy happens outside the circuit lock, under the pin or with the
-// message already off the queue, so BROADCAST receivers proceed
-// concurrently.
-func (f *Facility) copyOut(c claim, buf []byte) int {
-	n := f.pool.Extract(c.m, buf)
-	f.stats.payloadCopiesOut.Add(1)
-	if c.owned {
-		// The claim dequeued the message: no receiver can reach it, so
-		// its blocks go straight back without re-taking the circuit
-		// lock. A credited circuit is granted the blocks through the
-		// generation-checked refund, which ignores a circuit that died
-		// meanwhile (its ledger was zeroed then).
-		blocks := c.m.Blocks
-		f.pool.Release(c.m)
-		f.refundCredit(c.l, c.gen, blocks)
-	} else {
-		f.unpin(c.l, c.m)
-	}
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(n))
-	return n
-}
-
-// claim is a claimed message and the circuit it was claimed from. A
-// pinned claim leaves the message in the queue and owes one unpin; an
-// owned claim took it off the queue, and the holder releases it.
-type claim struct {
-	l     *lnvc
-	m     *msg.Message
-	gen   uint64 // the circuit's generation at the claim
-	owned bool
-}
-
-// waitClaim blocks until a message is deliverable to pid's connection
-// on id and claims it (see claimLocked; take asks for the dequeue a
-// copying receive can use). deadline, when non-nil, bounds the wait
-// (ErrTimeout).
-func (f *Facility) waitClaim(pid int, id ID, deadline *time.Time, take bool) (claim, error) {
-	if err := f.checkPID(pid); err != nil {
-		return claim{}, err
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return claim{}, err
-	}
-	l.lock.Lock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		l.lock.Unlock()
-		return claim{}, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	var m *msg.Message
-	waited := false
-	var wake *deadlineWake
-	if deadline != nil {
-		wake = armDeadline(l, *deadline)
-		defer wake.timer.Stop()
-	}
-	for {
-		if f.stopped.Load() {
-			l.lock.Unlock()
-			return claim{}, ErrShutdown
-		}
-		if l.recvs[pid] != d {
-			// The connection was closed (CloseReceive from another
-			// goroutine) while this receive was parked; the close path
-			// broadcast the condition so we see it promptly.
-			l.lock.Unlock()
-			return claim{}, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		m = l.availableLocked(d)
-		if m != nil {
-			break
-		}
-		if wake != nil && wake.expired(*deadline) {
-			l.lock.Unlock()
-			return claim{}, ErrTimeout
-		}
-		waited = true
-		l.cond.Wait()
-	}
-	if waited {
-		f.stats.receiveWaits.Add(1)
-	}
-	c := claim{l: l, m: m, gen: l.gen, owned: l.claimLocked(d, m, take)}
-	l.lock.Unlock()
-	return c, nil
-}
-
-// deadlineWake bounds a receive's park on an LNVC condition: its timer
-// broadcasts the condition at the deadline so the waiter re-evaluates.
-// fired is read and written only under the LNVC lock.
-type deadlineWake struct {
-	timer *time.Timer
-	fired bool
-}
-
-// armDeadline starts the timer for a park on l that ends at deadline.
-// Only a receive with a deadline pays for it.
-func armDeadline(l *lnvc, deadline time.Time) *deadlineWake {
-	w := &deadlineWake{}
-	w.timer = time.AfterFunc(time.Until(deadline), func() {
-		l.lock.Lock()
-		w.fired = true
-		l.cond.Broadcast()
-		l.lock.Unlock()
-	})
-	return w
-}
-
-// expired reports, under the LNVC lock, whether the deadline passed.
-func (w *deadlineWake) expired(deadline time.Time) bool {
-	return w.fired || !time.Now().Before(deadline)
-}
-
-// claimLocked consumes m for receiver d — for FCFS the claim (advancing
-// the shared head) must happen under the lock or two FCFS receivers
-// could take the same message; for BROADCAST it advances the private
-// head and releases the Pending reference.
-//
-// With take set, an FCFS claim that leaves m needed by no one — m is
-// the queue head, no BROADCAST receiver still needs it and no pin is
-// held on it — dequeues m and reports true: the claimer owns it and
-// releases it after its copy, with no second visit to the circuit.
-// Every other claim pins m. The pin is what keeps the blocks alive
-// while the holder reads them outside the lock, whether for a copy of
-// a shared message or for a held View; a pinned message is never
-// recycled (reclaimLocked skips it, the close path orphans it to the
-// pin holders instead of releasing it).
-func (l *lnvc) claimLocked(d *recvDesc, m *msg.Message, take bool) bool {
-	if d.proto == FCFS {
-		m.FCFSNeeded = false
-		l.fcfsHeadSeq = m.Seq + 1
-		if take && m.Pending == 0 && m.Pins == 0 && l.queue.Head() == m {
-			l.queue.Remove(m, nil)
-			return true
-		}
-	} else {
-		d.headSeq = m.Seq + 1
-		m.Pending--
-	}
-	m.Pins++
-	return false
-}
-
-// unpin drops one pin taken by claimLocked. For a message still owned
-// by its circuit this may make it reclaimable, so the reclaim scan
-// runs; for an orphan — dropped from a deleted circuit while pinned —
-// the last pin holder releases the blocks directly (the message is in
-// no queue; l may even have been recycled for another circuit, which
-// is safe because only m's own fields and the pool are touched).
-func (f *Facility) unpin(l *lnvc, m *msg.Message) {
-	l.lock.Lock()
-	m.Pins--
-	if m.Orphan {
-		release := m.Pins == 0
-		l.lock.Unlock()
-		if release {
-			f.pool.Release(m)
-		}
-		return
-	}
-	f.reclaimLocked(l)
-	l.lock.Unlock()
-}
-
-// unpinAll is unpin for a batch claimed from one circuit: one lock
-// acquisition, one reclaim scan. Orphans are collected and released
-// outside the lock.
-func (f *Facility) unpinAll(l *lnvc, ms []*msg.Message) {
-	var orphans []*msg.Message
-	l.lock.Lock()
-	anyLive := false
-	for _, m := range ms {
-		m.Pins--
-		if m.Orphan {
-			if m.Pins == 0 {
-				orphans = append(orphans, m)
-			}
-		} else {
-			anyLive = true
-		}
-	}
-	if anyLive {
-		f.reclaimLocked(l)
-	}
-	l.lock.Unlock()
-	f.pool.ReleaseBatch(orphans)
-}
-
-// availableLocked returns the next message deliverable to d, or nil.
-func (l *lnvc) availableLocked(d *recvDesc) *msg.Message {
-	if d.proto == FCFS {
-		// The first message not yet FCFS-consumed. Messages below the
-		// shared head have FCFSNeeded cleared, so scanning from the
-		// queue head for FCFSNeeded is equivalent to following the
-		// shared head pointer; the queue head is almost always it.
-		for m := l.queue.Head(); m != nil; m = m.Next {
-			if m.FCFSNeeded && m.Seq >= l.fcfsHeadSeq {
-				return m
-			}
-		}
-		return nil
-	}
-	return l.queue.After(d.headSeq)
-}
-
-// TryReceive is the non-blocking receive: if a message is available for
-// pid's connection it is consumed exactly as by Receive and TryReceive
-// reports (n, true); otherwise it returns (0, false) immediately. It is
-// the atomic alternative to the check_receive-then-message_receive pair,
-// which the paper warns is racy for FCFS receivers ("another process
-// with a FCFS receive connection may acquire the message before the
-// checking process can receive the message").
-func (f *Facility) TryReceive(pid int, id ID, buf []byte) (int, bool, error) {
-	n, ok, err := f.tryReceive(pid, id, buf)
-	ev := Event{Op: OpTryReceive, PID: pid, LNVC: id, Err: err}
-	if ok {
-		ev.Bytes = n
-	}
-	f.trace(ev)
-	return n, ok, err
-}
-
-func (f *Facility) tryReceive(pid int, id ID, buf []byte) (int, bool, error) {
-	c, ok, err := f.tryClaim(pid, id, true)
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	return f.copyOut(c, buf), true, nil
-}
-
-// tryClaim is waitClaim's non-blocking form: if a message is deliverable
-// it is claimed and ok is true; otherwise ok is false.
-func (f *Facility) tryClaim(pid int, id ID, take bool) (claim, bool, error) {
-	if err := f.checkPID(pid); err != nil {
-		return claim{}, false, err
-	}
-	if f.stopped.Load() {
-		return claim{}, false, ErrShutdown
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return claim{}, false, err
-	}
-	l.lock.Lock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		l.lock.Unlock()
-		return claim{}, false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	m := l.availableLocked(d)
-	if m == nil {
-		l.lock.Unlock()
-		return claim{}, false, nil
-	}
-	c := claim{l: l, m: m, gen: l.gen, owned: l.claimLocked(d, m, take)}
-	l.lock.Unlock()
-	return c, true, nil
-}
-
-// CheckReceive reports whether a message is currently available for pid's
-// receive connection (paper §2, check_receive). For FCFS connections the
-// answer is advisory: another FCFS receiver may claim the message first,
-// exactly the caveat the paper gives.
-func (f *Facility) CheckReceive(pid int, id ID) (bool, error) {
-	ok, err := f.checkReceive(pid, id)
-	f.trace(Event{Op: OpCheckReceive, PID: pid, LNVC: id, Err: err})
-	return ok, err
-}
-
-func (f *Facility) checkReceive(pid int, id ID) (bool, error) {
-	if err := f.checkPID(pid); err != nil {
-		return false, err
-	}
-	l, err := f.lookup(id)
-	if err != nil {
-		return false, err
-	}
-	l.lock.Lock()
-	defer l.lock.Unlock()
-	d := l.recvs[pid]
-	if f.slots[id].Load() != l || d == nil {
-		return false, fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
-	}
-	f.stats.checks.Add(1)
-	return l.availableLocked(d) != nil, nil
 }
 
 // reclaimLocked removes and recycles every message that no connected

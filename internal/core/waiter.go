@@ -3,46 +3,29 @@ package core
 import "time"
 
 // Per-circuit readiness notification. Every LNVC descriptor keeps a
-// list of parked multiplexer registrations; the enqueue and close paths
-// wake exactly the waiters registered on that circuit — O(waiters on
-// this circuit) work, not O(waiters in the facility). This is the
-// epoll-style structure ReceiveAny and Selector park on. The
-// facility-wide activity pulse it replaces survives only as an ablation
-// baseline (Config.GlobalPulseMux; see any.go) and, in spirit, in the
-// arena's block-pool wait, where the condition really is global: any
-// freed block serves any waiter, so a per-resource list would buy
-// nothing there.
+// list of the Selectors registered on it; the enqueue and close paths
+// wake exactly those — O(selectors on this circuit) work, not
+// O(waiters in the facility). This is the epoll-style structure every
+// multiplexed wait parks on: Selector.Wait and HarvestViews, and
+// ReceiveAny, which runs on a transient Selector (any.go). The
+// arena's block-pool wait keeps a facility-wide wakeup because its
+// condition really is global: any freed block serves any waiter, so a
+// per-resource list would buy nothing there.
 
-// muxWaiter is one parked multiplexer registration on an LNVC waiter
-// list. Exactly one of ch/sel is set: ch is a one-shot park
-// (ReceiveAny) — capacity 1, so a fire landing during the poll phase is
-// retained and the next park returns immediately; sel is a persistent
-// Selector registration.
+// muxWaiter is one Selector's registration entry, shared by every
+// circuit that selector watches: a fire marks the circuit ready on the
+// selector and taps its parked Wait.
 type muxWaiter struct {
-	ch  chan struct{}
 	sel *Selector
 }
 
-// fire delivers the readiness signal for circuit id to the waiter.
-// Called under the LNVC lock; it never blocks (the channel send is
-// non-blocking and markReady takes only the selector's leaf lock).
-func (w *muxWaiter) fire(id ID) {
-	if w.sel != nil {
-		w.sel.markReady(id)
-		return
-	}
-	select {
-	case w.ch <- struct{}{}:
-	default:
-	}
-}
-
-// wakeWaitersLocked fires every registration parked on l. Called under
-// l.lock after any event that can change readiness for a multiplexer:
-// message enqueue, connection close, circuit deletion.
+// wakeWaitersLocked marks l ready in every Selector registered on it.
+// Called under l.lock after any event that can change readiness for a
+// multiplexer: message enqueue, connection close, circuit deletion. It
+// never blocks: markReady takes only the selector's leaf lock.
 func (l *lnvc) wakeWaitersLocked() {
 	for _, w := range l.waiters {
-		w.fire(l.id)
+		w.sel.markReady(l.id)
 	}
 }
 
@@ -63,10 +46,9 @@ func (l *lnvc) removeWaiterLocked(w *muxWaiter) {
 	}
 }
 
-// parkWait is the shared park: it blocks until wake fires (true, nil),
-// stop aborts (ErrShutdown), or the optional deadline passes
-// (ErrTimeout). ReceiveAny, its global-pulse baseline, and
-// Selector.Wait all sleep here.
+// parkWait is the multiplexers' park: it blocks until wake fires
+// (true, nil), stop aborts (ErrShutdown), or the optional deadline
+// passes (ErrTimeout). Selector.Wait and HarvestViews sleep here.
 func parkWait(wake <-chan struct{}, stop <-chan struct{}, deadline *time.Time) (bool, error) {
 	if deadline == nil {
 		select {

@@ -38,22 +38,14 @@ var ErrLoanDone = errors.New("mpf: loan already committed or aborted")
 // is owned by one process and is not safe for concurrent use, matching
 // the paper's single-thread-of-control process model.
 type Loan struct {
-	f   *Facility
-	l   *lnvc
-	id  ID
-	pid int
-	m   *msg.Message
+	sendTxn
+	m *msg.Message
 	// n is the payload length, copied out of the header at allocation:
 	// after Commit the header belongs to the facility (a receiver may
 	// consume and recycle it concurrently), so the loan must never read
 	// m again once done is set.
 	n    int
 	done bool
-	// The loan's credit debit, refunded if the message never reaches a
-	// FIFO (abort, lost circuit, shutdown). creditGen pins the refund
-	// to the descriptor incarnation that was debited.
-	creditGen    uint64
-	creditBlocks int
 }
 
 // SendLoan allocates blocks for n payload bytes on the LNVC and returns
@@ -67,52 +59,18 @@ func (f *Facility) SendLoan(pid int, id ID, n int) (*Loan, error) {
 }
 
 func (f *Facility) sendLoan(pid int, id ID, n int) (*Loan, error) {
-	if err := f.checkPID(pid); err != nil {
-		return nil, err
-	}
-	if f.stopped.Load() {
-		return nil, ErrShutdown
-	}
 	if n < 0 {
 		return nil, fmt.Errorf("mpf: SendLoan of %d bytes", n)
 	}
-	if f.arena.BlocksFor(n) > f.arena.NumBlocks() {
-		return nil, fmt.Errorf("%w: %d bytes, region holds %d", ErrMessageTooBig, n, f.arena.NumBlocks()*f.arena.PayloadSize())
-	}
-	l, err := f.lookup(id)
+	t, err := f.admit(pid, id, 1, n, f.arena.BlocksFor(n))
 	if err != nil {
 		return nil, err
 	}
-	// Fail fast before the (possibly blocking) allocation; Commit
-	// re-validates under the lock, exactly as send does around its copy.
-	// With credit configured the check rides along with the debit.
-	var creditGen uint64
-	creditBlocks := 0
-	if f.cfg.CreditBlocks > 0 {
-		creditBlocks = f.arena.BlocksFor(n)
-		var err error
-		if creditGen, err = f.acquireCredit(l, id, pid, creditBlocks); err != nil {
-			return nil, err
-		}
-	} else {
-		l.lock.Lock()
-		if f.slots[id].Load() != l || l.sends[pid] == nil {
-			l.lock.Unlock()
-			return nil, fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, id, pid)
-		}
-		l.lock.Unlock()
+	m, err := f.pool.BuildLoan(pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
+	if err := t.built(err); err != nil {
+		return nil, err
 	}
-
-	m, buildErr := f.pool.BuildLoan(pid, n, f.cfg.SendPolicy == BlockUntilFree, f.stop)
-	if buildErr != nil {
-		f.refundCredit(l, creditGen, creditBlocks)
-		if f.stopped.Load() {
-			return nil, ErrShutdown
-		}
-		return nil, fmt.Errorf("%w: %v", ErrNoMemory, buildErr)
-	}
-	return &Loan{f: f, l: l, id: id, pid: pid, m: m, n: n,
-		creditGen: creditGen, creditBlocks: creditBlocks}, nil
+	return &Loan{sendTxn: t, m: m, n: n}, nil
 }
 
 // Len returns the loan's payload capacity in bytes.
@@ -160,38 +118,14 @@ func (ln *Loan) commit() error {
 	if ln.done {
 		return ErrLoanDone
 	}
-	f, l := ln.f, ln.l
-	if f.stopped.Load() {
-		ln.done = true
-		f.pool.Release(ln.m)
-		f.refundCredit(l, ln.creditGen, ln.creditBlocks)
-		return ErrShutdown
-	}
-	l.lock.Lock()
-	// Re-validate both the connection and the ID binding: the circuit
-	// may have been deleted — and its descriptor recycled for another
-	// name — while the caller held the loan.
-	if f.slots[ln.id].Load() != l || l.sends[ln.pid] == nil {
-		l.lock.Unlock()
-		ln.done = true
-		f.pool.Release(ln.m)
-		f.refundCredit(l, ln.creditGen, ln.creditBlocks)
-		return fmt.Errorf("%w: send on id %d by process %d", ErrNotConnected, ln.id, ln.pid)
-	}
-	ln.m.Pending = l.nBcast
-	ln.m.FCFSNeeded = true
-	l.queue.Enqueue(ln.m)
-	l.cond.Broadcast()
-	l.wakeWaitersLocked()
-	l.lock.Unlock()
-	if f.cfg.GlobalPulseMux {
-		f.pulseActivity()
-	}
 	ln.done = true
-
-	f.stats.sends.Add(1)
-	f.stats.bytesSent.Add(uint64(ln.n))
-	f.stats.loanSends.Add(1)
+	ms := [1]*msg.Message{ln.m}
+	if err := ln.publish(ms[:], 1); err != nil {
+		return err
+	}
+	ln.f.stats.sends.Add(1)
+	ln.f.stats.bytesSent.Add(uint64(ln.n))
+	ln.f.stats.loanSends.Add(1)
 	return nil
 }
 
@@ -203,8 +137,8 @@ func (ln *Loan) Abort() {
 		return
 	}
 	ln.done = true
-	ln.f.pool.Release(ln.m)
-	ln.f.refundCredit(ln.l, ln.creditGen, ln.creditBlocks)
+	ms := [1]*msg.Message{ln.m}
+	ln.abort(ms[:])
 }
 
 // View is a pinned zero-copy window onto a received message's payload,
@@ -227,7 +161,7 @@ type View struct {
 // and claims it as a pinned View — message_receive without its copy.
 // The caller must Release the view once done reading.
 func (f *Facility) ReceiveView(pid int, id ID) (*View, error) {
-	v, err := f.receiveView(pid, id, nil)
+	v, err := f.receiveView(pid, id, true, nil)
 	f.trace(Event{Op: OpReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
 	return v, err
 }
@@ -239,38 +173,33 @@ func (f *Facility) ReceiveViewDeadline(pid int, id ID, d time.Duration) (*View, 
 		return nil, fmt.Errorf("%w: non-positive deadline %v", ErrTimeout, d)
 	}
 	deadline := time.Now().Add(d)
-	v, err := f.receiveView(pid, id, &deadline)
+	v, err := f.receiveView(pid, id, true, &deadline)
 	f.trace(Event{Op: OpReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
 	return v, err
-}
-
-func (f *Facility) receiveView(pid int, id ID, deadline *time.Time) (*View, error) {
-	c, err := f.waitClaim(pid, id, deadline, false)
-	if err != nil {
-		return nil, err
-	}
-	f.stats.receives.Add(1)
-	f.stats.bytesRecvd.Add(uint64(c.m.Length))
-	f.stats.viewReceives.Add(1)
-	return &View{f: f, l: c.l, m: c.m, id: id}, nil
 }
 
 // TryReceiveView is ReceiveView's non-blocking form: if a message is
 // available it is claimed as a pinned View and (v, true) is returned;
 // otherwise (nil, false).
 func (f *Facility) TryReceiveView(pid int, id ID) (*View, bool, error) {
-	c, ok, err := f.tryClaim(pid, id, false)
-	ev := Event{Op: OpTryReceiveView, PID: pid, LNVC: id, Err: err}
-	if err != nil || !ok {
-		f.trace(ev)
-		return nil, false, err
+	v, err := f.receiveView(pid, id, false, nil)
+	f.trace(Event{Op: OpTryReceiveView, PID: pid, LNVC: id, Bytes: viewBytes(v), Err: err})
+	return v, v != nil, err
+}
+
+// receiveView is the claim core's single claim without the dequeue a
+// copying receive may take: the message stays pinned under the View.
+// It returns nil when a no-wait call finds nothing.
+func (f *Facility) receiveView(pid int, id ID, wait bool, deadline *time.Time) (*View, error) {
+	var one [1]*msg.Message
+	c, n, err := f.claimWait(pid, id, one[:], false, wait, deadline)
+	if err != nil || n == 0 {
+		return nil, err
 	}
 	f.stats.receives.Add(1)
 	f.stats.bytesRecvd.Add(uint64(c.m.Length))
 	f.stats.viewReceives.Add(1)
-	ev.Bytes = c.m.Length
-	f.trace(ev)
-	return &View{f: f, l: c.l, m: c.m, id: id}, true, nil
+	return &View{f: f, l: c.l, m: c.m, id: id}, nil
 }
 
 func viewBytes(v *View) int {

@@ -61,10 +61,6 @@ type Ring struct {
 
 	closed atomic.Bool
 
-	// notify, when set, runs after every publish that makes new data
-	// visible to the consumer, and on Close. See SetNotify.
-	notify atomic.Pointer[func()]
-
 	// Zero-copy cursor state. resTail/resActive belong to the producer
 	// (Reserve/CommitReserve), peekNext/peekActive to the consumer
 	// (Peek/Consume); neither crosses goroutines, so no atomics — the
@@ -96,31 +92,6 @@ func (r *Ring) Cap() int { return len(r.buf) }
 // and then returns ErrClosed; Send fails immediately.
 func (r *Ring) Close() {
 	r.closed.Store(true)
-	r.notifyPublish()
-}
-
-// SetNotify registers fn to run after every cursor publish that makes
-// new records visible (TrySend, TrySendBatch — once per batch) and on
-// Close. It is the ring's readiness hook: an event loop draining
-// several rings parks on one channel and has each ring's fn post to
-// it, mirroring the per-circuit waiter lists the general
-// implementation gives LNVCs — no polling, no global pulse. fn runs on
-// the producer's goroutine and must not block; a non-blocking send to
-// a buffered channel is the intended shape. Pass nil to clear.
-// SetNotify must not race with concurrent sends (install the hook
-// before handing the ring to its producer).
-func (r *Ring) SetNotify(fn func()) {
-	if fn == nil {
-		r.notify.Store(nil)
-		return
-	}
-	r.notify.Store(&fn)
-}
-
-func (r *Ring) notifyPublish() {
-	if fn := r.notify.Load(); fn != nil {
-		(*fn)()
-	}
 }
 
 func le32(b []byte) uint32 {
@@ -196,7 +167,6 @@ func (r *Ring) TrySend(msg []byte) (bool, error) {
 		return false, nil
 	}
 	r.tail.Store(tail) // publish
-	r.notifyPublish()
 	return true, nil
 }
 
@@ -233,7 +203,6 @@ func (r *Ring) TrySendBatch(msgs [][]byte) (int, error) {
 	}
 	if tail != start {
 		r.tail.Store(tail) // one publish for the whole batch
-		r.notifyPublish()  // and one wakeup
 	}
 	return sent, err
 }
@@ -428,7 +397,6 @@ func (r *Ring) CommitReserve() {
 	}
 	r.resActive = false
 	r.tail.Store(r.resTail) // publish
-	r.notifyPublish()
 }
 
 // AbortReserve discards the outstanding reservation (single or batch).

@@ -160,34 +160,23 @@ func (p *Pool) View(m *Message) View {
 	return NewView(p.arena, m.Head, m.Length)
 }
 
-// BuildBatch builds one message per buffer in bufs, allocating every
-// payload block in a single arena transaction (Arena.AllocPayloads):
-// the batch costs one free-list lock acquisition however many messages
-// and blocks it spans. Either every message is built or none is; wait and
-// stop have Build's semantics, applied to the batch's total block
-// demand.
+// BuildBatch is Build's batch form, BuildLoanBatch plus one WriteChain
+// per buffer: every payload block comes from a single arena transaction
+// (Arena.AllocPayloads), so the batch costs one free-list lock
+// acquisition however many messages and blocks it spans. Either every
+// message is built or none is; wait and stop have Build's semantics,
+// applied to the batch's total block demand.
 func (p *Pool) BuildBatch(sender int, bufs [][]byte, wait bool, stop <-chan struct{}) ([]*Message, error) {
-	if len(bufs) == 0 {
-		return nil, nil
-	}
 	ns := make([]int, len(bufs))
 	for i, buf := range bufs {
 		ns[i] = len(buf)
 	}
-	heads, tails, err := p.arena.AllocPayloads(ns, wait, stop)
+	msgs, err := p.BuildLoanBatch(sender, ns, wait, stop)
 	if err != nil {
 		return nil, err
 	}
-	msgs := make([]*Message, len(bufs))
-	for i, buf := range bufs {
-		p.arena.WriteChain(heads[i], buf)
-		m := p.get()
-		m.Length = len(buf)
-		m.Head = heads[i]
-		m.Tail = tails[i]
-		m.Sender = sender
-		m.Blocks = p.arena.BlocksFor(len(buf))
-		msgs[i] = m
+	for i, m := range msgs {
+		p.arena.WriteChain(m.Head, bufs[i])
 	}
 	return msgs, nil
 }

@@ -7,10 +7,10 @@ package shm
 // (the message-rate case: the counterpart runs on another core and the
 // next event is nanoseconds away), registers as a sleeper, re-checks,
 // and then sleeps in the kernel via FUTEX_WAIT until the count moves.
-// This is the process-boundary analogue of the Ring.SetNotify
-// readiness hook and the per-circuit waiter lists of PR 2/4: one wake
-// per publish or batch at most, none when the consumer keeps up, no
-// thundering herd, and no Go runtime shared between waiter and waker.
+// This is the process-boundary analogue of the per-circuit waiter
+// lists the selectors park on: one wake per publish or batch at most,
+// none when the consumer keeps up, no thundering herd, and no Go
+// runtime shared between waiter and waker.
 //
 // The registration/re-check dance is the classic futex protocol: both
 // sides' accesses are sequentially consistent atomics, so either the

@@ -211,13 +211,6 @@ func WithHugePages() Option { return func(c *core.Config) { c.HugePages = true }
 // is the copy ablation's paper-plane baseline (mpfbench -copies).
 func WithClassicChains() Option { return func(c *core.Config) { c.ClassicChains = true } }
 
-// WithGlobalPulseMux reverts ReceiveAny to the pre-selector wakeup
-// scheme — one facility-wide pulse per Send waking every parked
-// waiter. It exists only as the ablation baseline the selector-scaling
-// benchmark (mpfbench -select) measures the thundering herd against;
-// leave it off in real use.
-func WithGlobalPulseMux() Option { return func(c *core.Config) { c.GlobalPulseMux = true } }
-
 // WithTracer installs a tracer receiving one Event per primitive call.
 func WithTracer(t Tracer) Option { return func(c *core.Config) { c.Tracer = t } }
 
