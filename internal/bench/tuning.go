@@ -304,12 +304,7 @@ func TuningFalseSharing(iters int) (packedNs, paddedNs float64) {
 // a struct of two adjacent fields could legitimately straddle a line
 // boundary and measure nothing.
 func falseSharingNs(iters, gapWords int) float64 {
-	buf := make([]uint64, 16+gapWords)
-	base := 0
-	for uintptr(unsafe.Pointer(&buf[base]))%64 != 0 {
-		base++
-	}
-	words := []*uint64{&buf[base], &buf[base+gapWords]}
+	words := falseSharingWords(gapWords)
 	var wg sync.WaitGroup
 	gate := make(chan struct{})
 	wg.Add(len(words))
@@ -326,6 +321,17 @@ func falseSharingNs(iters, gapWords int) float64 {
 	close(gate)
 	wg.Wait()
 	return float64(time.Since(start).Nanoseconds()) / float64(iters)
+}
+
+// falseSharingWords returns two words gapWords apart from a 64-byte-
+// aligned base.
+func falseSharingWords(gapWords int) [2]*uint64 {
+	buf := make([]uint64, 16+gapWords)
+	base := 0
+	for uintptr(unsafe.Pointer(&buf[base]))%64 != 0 {
+		base++
+	}
+	return [2]*uint64{&buf[base], &buf[base+gapWords]}
 }
 
 // TuningAffinityProbe reports whether the pinned leg can run here:

@@ -265,7 +265,10 @@ type Stats struct {
 	LNVCsCreated          uint64
 	LNVCsDeleted          uint64
 	MessagesDropped       uint64 // discarded unread at LNVC deletion
-	ReceiveWaits          uint64 // Receive calls that had to block
+	// ReceiveWaits counts blocking circuit receives that found nothing
+	// to claim and waited, whether the wait ended in the pre-park spin
+	// or on the condition variable.
+	ReceiveWaits uint64
 	// BatchSends and BatchReceives count SendBatch/ReceiveBatch calls;
 	// the individual messages they move are included in Sends/Receives.
 	BatchSends    uint64
@@ -502,7 +505,7 @@ func (f *Facility) Shutdown() {
 	for i := range f.slots {
 		if l := f.slots[i].Load(); l != nil {
 			l.lock.Lock()
-			l.cond.Broadcast()
+			l.broadcastLocked()
 			l.lock.Unlock()
 		}
 	}

@@ -43,6 +43,18 @@ func TestHotWordLayout(t *testing.T) {
 			unsafe.Offsetof(l.lock), unsafe.Offsetof(l.cond))
 	}
 
+	// The publish word is polled by spinning receivers outside the
+	// lock: it must share a line neither with the lock senders take
+	// nor with the descriptor fields they write under it.
+	if sameLine(unsafe.Offsetof(l.pub), unsafe.Sizeof(l.pub), unsafe.Offsetof(l.lock), unsafe.Sizeof(l.lock)) {
+		t.Errorf("lnvc pub (at %d) shares a line with lock (at %d)",
+			unsafe.Offsetof(l.pub), unsafe.Offsetof(l.lock))
+	}
+	if sameLine(unsafe.Offsetof(l.pub), unsafe.Sizeof(l.pub), unsafe.Offsetof(l.cond), 8) {
+		t.Errorf("lnvc pub (at %d) shares a line with cond (at %d)",
+			unsafe.Offsetof(l.pub), unsafe.Offsetof(l.cond))
+	}
+
 	// The credit ledger's debit word versus the waiter list senders
 	// park on and receivers drain.
 	if sameLine(unsafe.Offsetof(l.creditUsed), unsafe.Sizeof(l.creditUsed),

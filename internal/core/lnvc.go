@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/msg"
 	"repro/internal/spinlock"
@@ -21,6 +22,10 @@ type recvDesc struct {
 	pid     int
 	proto   Protocol
 	headSeq uint64 // BROADCAST only: next sequence this receiver consumes
+	// waitAvg is the spin gate (receive.go): a moving average, in
+	// 1/waitAvgOne units, of how often this connection's blocking
+	// receives found nothing to claim. Guarded by the LNVC lock.
+	waitAvg int32
 }
 
 // lnvc is an LNVC descriptor (paper Figure 2). All mutable fields are
@@ -44,7 +49,16 @@ type lnvc struct {
 	lock spinlock.TAS
 	_    [40]byte
 
-	cond *sync.Cond // signalled on enqueue and shutdown
+	// pub is the publish word: bumped under lock wherever cond is
+	// broadcast (broadcastLocked), so a receiver in its pre-park spin
+	// can poll it without the lock. It has a line of its own: the
+	// spinner's loads must not share a line with the lock senders take
+	// or with the descriptor fields they write. Asserted by
+	// TestHotWordLayout.
+	pub atomic.Uint64
+	_   [56]byte
+
+	cond *sync.Cond // broadcast on enqueue, close and shutdown
 
 	queue       msg.Queue
 	fcfsHeadSeq uint64 // shared FCFS head: next sequence FCFS may consume
@@ -123,6 +137,14 @@ func (l *lnvc) reset(name string, id ID) {
 }
 
 func (l *lnvc) connections() int { return len(l.sends) + len(l.recvs) }
+
+// broadcastLocked wakes every receive parked on the circuit condition
+// and moves the publish word for every receive spinning before its
+// park. Called under l.lock.
+func (l *lnvc) broadcastLocked() {
+	l.pub.Add(1)
+	l.cond.Broadcast()
+}
 
 func (l *lnvc) getSendDesc(pid int) *sendDesc {
 	if n := len(l.sendFree); n > 0 {
@@ -337,7 +359,7 @@ func (f *Facility) close(pid int, id ID, detach func(*lnvc) error) error {
 		// for credit must observe a closed connection promptly — never
 		// hang until an unrelated send happens by (they re-validate the
 		// connection on wake).
-		l.cond.Broadcast()
+		l.broadcastLocked()
 		l.wakeWaitersLocked()
 		l.wakeCreditWaitersLocked()
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
@@ -107,15 +109,21 @@ type claim struct {
 }
 
 // claimWait is the one wait-and-claim loop. It validates pid's receive
-// connection on id and, when wait is set, parks on the circuit's
-// condition until a message is deliverable; then it claims up to
-// len(into) messages under the same lock hold. The returned claim
-// carries the circuit, its generation and the first message; n counts
-// the messages written to into, and is 0 only for a no-wait call that
-// found nothing or an empty into. deadline, when non-nil, bounds the
-// wait (ErrTimeout). A parked call observes Shutdown (ErrShutdown) and
-// the close of its own connection (ErrNotConnected) promptly: both
-// broadcast the condition.
+// connection on id and, when wait is set, waits until a message is
+// deliverable; then it claims up to len(into) messages under the same
+// lock hold. The returned claim carries the circuit, its generation and
+// the first message; n counts the messages written to into, and is 0
+// only for a no-wait call that found nothing or an empty into.
+// deadline, when non-nil, bounds the wait (ErrTimeout). A waiting call
+// observes Shutdown (ErrShutdown) and the close of its own connection
+// (ErrNotConnected) promptly: both broadcast the condition and move the
+// publish word.
+//
+// A connection whose receives usually find the queue empty (the gate,
+// noteWait) first spins on the publish word outside the lock before it
+// parks on the condition. The spin ends like a spurious wakeup: the
+// call relocks and re-runs every check, so the lost-wakeup argument is
+// the park's alone.
 func (f *Facility) claimWait(pid int, id ID, into []*msg.Message, take, wait bool, deadline *time.Time) (c claim, n int, err error) {
 	if err := f.checkPID(pid); err != nil {
 		return claim{}, 0, err
@@ -135,7 +143,7 @@ func (f *Facility) claimWait(pid int, id ID, into []*msg.Message, take, wait boo
 	}
 	c = claim{l: l, gen: l.gen}
 	var wake *deadlineWake
-	waited := false
+	waited, spun := false, false
 	for {
 		// Shutdown and the close are re-checked under the lock on every
 		// round: both set their state before broadcasting, so a check
@@ -151,15 +159,28 @@ func (f *Facility) claimWait(pid int, id ID, into []*msg.Message, take, wait boo
 		if n, c.owned = l.claimUpToLocked(d, into, take); n > 0 || !wait || len(into) == 0 {
 			break
 		}
-		if deadline != nil && wake == nil {
-			wake = armDeadline(l, *deadline)
-		}
-		if wake != nil && wake.expired(*deadline) {
+		if deadline != nil && (wake != nil && wake.fired || !time.Now().Before(*deadline)) {
 			err = ErrTimeout
 			break
 		}
 		waited = true
+		if !spun && d.waitAvg > spinGate {
+			spun = true
+			seen := l.pub.Load()
+			l.lock.Unlock()
+			spinPublish(&l.pub, seen, deadline)
+			l.lock.Lock()
+			continue
+		}
+		// The timer is armed under the lock, so its broadcast cannot
+		// land before this Wait releases it.
+		if deadline != nil && wake == nil {
+			wake = armDeadline(l, *deadline)
+		}
 		l.cond.Wait()
+	}
+	if wait && l.recvs[pid] == d {
+		d.noteWait(waited)
 	}
 	if wake != nil {
 		wake.timer.Stop()
@@ -177,6 +198,52 @@ func (f *Facility) claimWait(pid int, id ID, into []*msg.Message, take, wait boo
 	return c, n, nil
 }
 
+// The pre-park spin (DESIGN.md §6 has the measurements). A parked
+// receive's thread sleeps, and the next publish pays to wake it; on a
+// chain of small messages that wake is most of each hop. spinRounds
+// rounds of spinLoads loads of the publish word catch a message that
+// is close. The yield between rounds hands the P to the goroutine the
+// receiver's own send just readied, which a busy spin would starve.
+// Only a connection whose blocking receives mostly wait (waitAvg above
+// spinGate) spins; a streaming consumer's rare waits park.
+const (
+	spinRounds = 64
+	spinLoads  = 32
+
+	// waitAvg is a moving average of 0/1 wait samples in 1/waitAvgOne
+	// units with weight 1/2^waitAvgShift on the newest sample; a
+	// connection spins once the average exceeds 5/8.
+	waitAvgOne   = 256
+	waitAvgShift = 3
+	spinGate     = waitAvgOne * 5 / 8
+)
+
+// noteWait folds one blocking receive's outcome — it had to wait or
+// not — into the connection's spin gate. Called under the LNVC lock.
+func (d *recvDesc) noteWait(waited bool) {
+	d.waitAvg -= d.waitAvg >> waitAvgShift
+	if waited {
+		d.waitAvg += waitAvgOne >> waitAvgShift
+	}
+}
+
+// spinPublish polls pub until it moves off seen, the spin budget runs
+// out or the deadline (when non-nil) passes. The caller re-checks
+// everything under the lock either way.
+func spinPublish(pub *atomic.Uint64, seen uint64, deadline *time.Time) {
+	for r := 0; r < spinRounds; r++ {
+		for i := 0; i < spinLoads; i++ {
+			if pub.Load() != seen {
+				return
+			}
+		}
+		if deadline != nil && !time.Now().Before(*deadline) {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 func recvNotConnected(id ID, pid int) error {
 	return fmt.Errorf("%w: receive on id %d by process %d", ErrNotConnected, id, pid)
 }
@@ -190,21 +257,16 @@ type deadlineWake struct {
 }
 
 // armDeadline starts the timer for a park on l that ends at deadline.
-// Only a receive that has to park with a deadline pays for it.
+// Only a receive that still has to park after its spin pays for it.
 func armDeadline(l *lnvc, deadline time.Time) *deadlineWake {
 	w := &deadlineWake{}
 	w.timer = time.AfterFunc(time.Until(deadline), func() {
 		l.lock.Lock()
 		w.fired = true
-		l.cond.Broadcast()
+		l.broadcastLocked()
 		l.lock.Unlock()
 	})
 	return w
-}
-
-// expired reports, under the LNVC lock, whether the deadline passed.
-func (w *deadlineWake) expired(deadline time.Time) bool {
-	return w.fired || !time.Now().Before(deadline)
 }
 
 // claimUpToLocked claims up to len(into) messages deliverable to d, in

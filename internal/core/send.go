@@ -116,7 +116,7 @@ func (t *sendTxn) publish(ms []*msg.Message, n int) error {
 		l.queue.Enqueue(m)
 	}
 	if n > 0 {
-		l.cond.Broadcast()
+		l.broadcastLocked()
 		l.wakeWaitersLocked()
 	}
 	if t.creditBlocks > 0 && n < len(ms) && l.gen == t.creditGen {

@@ -118,7 +118,12 @@ func (l *Ticket) Lock() {
 		for i := 0; i < wait; i++ {
 			spinHint()
 		}
-		if wait == maxBackoffSpins {
+		// Yield after every backoff round that ends without the lock.
+		// Hand-off is strict FIFO: only the next ticket holder can
+		// proceed, and it may be a goroutine waiting for this P. A
+		// waiter that spun on without yielding would hold the P until
+		// async preemption, once per hand-off.
+		if l.serving.Load() != ticket {
 			runtime.Gosched()
 		}
 	}

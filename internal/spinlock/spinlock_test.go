@@ -1,6 +1,7 @@
 package spinlock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,46 @@ func TestTASMutualExclusion(t *testing.T) {
 
 func TestTicketMutualExclusion(t *testing.T) {
 	exercise(t, &Ticket{}, 8, 2000)
+}
+
+// TestTicketOversubscribed runs more ticket-lock waiters than Ps, with
+// each holder giving up its P inside the critical section, as
+// preemption or a descheduled thread does at random under load. Strict
+// FIFO hand-off means the next ticket holder is then usually not
+// running; unless the spinning waiters yield between backoff rounds,
+// every hand-off waits for the scheduler to preempt them one by one.
+func TestTicketOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const workers, iters = 8, 200
+	var l Ticket
+	counter := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				l.Lock()
+				runtime.Gosched()
+				counter++
+				l.Unlock()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%d goroutines on one P did not finish %d ticket-lock hand-offs in 20 s",
+			workers, workers*iters)
+	}
+	if counter != workers*iters {
+		t.Fatalf("counter = %d, want %d (lost updates)", counter, workers*iters)
+	}
 }
 
 func TestRWWriteMutualExclusion(t *testing.T) {
