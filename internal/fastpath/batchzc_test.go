@@ -135,7 +135,7 @@ func TestPeekBatchConsumeRoundtrip(t *testing.T) {
 	if segs, err := r.PeekBatch(4); err != nil || segs != nil {
 		t.Fatalf("empty ring peek: segs=%v err=%v", segs, err)
 	}
-	// Close-drain semantics match TryRecvBatch: drain, then ErrClosed.
+	// Close-drain semantics match TryRecv: drain, then ErrClosed.
 	if ok, _ := r.TrySend([]byte("last")); !ok {
 		t.Fatal("send failed")
 	}

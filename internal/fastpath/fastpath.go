@@ -136,17 +136,6 @@ func (r *Ring) place(tail, head uint64, n int) (off, newTail uint64, ok bool) {
 	return off, tail + pad4(need), true
 }
 
-// push writes msg's record into the buffer at the unpublished cursor
-// tail, returning the advanced cursor and whether the record fit.
-func (r *Ring) push(tail, head uint64, msg []byte) (uint64, bool) {
-	off, newTail, ok := r.place(tail, head, len(msg))
-	if !ok {
-		return tail, false
-	}
-	copy(r.buf[off+recHeader:], msg)
-	return newTail, true
-}
-
 // TrySend attempts to enqueue msg without blocking. It reports false if
 // the ring lacks space. Messages larger than Cap()-8 return ErrTooBig.
 func (r *Ring) TrySend(msg []byte) (bool, error) {
@@ -162,70 +151,13 @@ func (r *Ring) TrySend(msg []byte) (bool, error) {
 	if uint64(recHeader+len(msg)) > uint64(len(r.buf))-recHeader {
 		return false, ErrTooBig
 	}
-	tail, ok := r.push(r.tail.Load(), r.head.Load(), msg)
+	off, tail, ok := r.place(r.tail.Load(), r.head.Load(), len(msg))
 	if !ok {
 		return false, nil
 	}
+	copy(r.buf[off+recHeader:], msg)
 	r.tail.Store(tail) // publish
 	return true, nil
-}
-
-// TrySendBatch enqueues a prefix of msgs — as many as currently fit —
-// and publishes the producer cursor once for the whole prefix, so the
-// consumer observes the batch atomically and the producer pays one
-// cursor store however many records went out. It returns the number
-// enqueued. A message that can never fit (larger than Cap()-8) stops
-// the batch: the prefix before it is still published and ErrTooBig is
-// returned with the count.
-func (r *Ring) TrySendBatch(msgs [][]byte) (int, error) {
-	if r.resActive {
-		panic("fastpath: TrySendBatch with a reservation outstanding")
-	}
-	if r.closed.Load() {
-		return 0, ErrClosed
-	}
-	head := r.head.Load()
-	start := r.tail.Load()
-	tail := start
-	sent := 0
-	var err error
-	for _, msg := range msgs {
-		if uint64(recHeader+len(msg)) > uint64(len(r.buf))-recHeader {
-			err = ErrTooBig
-			break
-		}
-		next, ok := r.push(tail, head, msg)
-		if !ok {
-			break
-		}
-		tail = next
-		sent++
-	}
-	if tail != start {
-		r.tail.Store(tail) // one publish for the whole batch
-	}
-	return sent, err
-}
-
-// SendBatch blocks (spinning with backoff) until every message in msgs
-// is enqueued, publishing the cursor once per burst rather than once
-// per message. On ErrTooBig a prefix of the batch may already have been
-// delivered, as with repeated Send calls.
-func (r *Ring) SendBatch(msgs [][]byte) error {
-	done := 0
-	for spin := 0; done < len(msgs); spin++ {
-		n, err := r.TrySendBatch(msgs[done:])
-		if err != nil {
-			return err
-		}
-		done += n
-		if n > 0 {
-			spin = 0
-		} else if spin > 64 {
-			runtime.Gosched()
-		}
-	}
-	return nil
 }
 
 // TryRecv attempts to dequeue one message into buf without blocking,
@@ -267,56 +199,6 @@ func (r *Ring) TryRecv(buf []byte) (int, bool, error) {
 	}
 }
 
-// TryRecvBatch dequeues up to len(bufs) messages — one per buffer, each
-// truncated to its buffer — publishing the consumer cursor once for the
-// whole batch. It returns the per-message byte counts; an empty result
-// with a nil error means the ring was empty. Like TryRecv it drains
-// remaining messages after Close and only then returns ErrClosed.
-func (r *Ring) TryRecvBatch(bufs [][]byte) ([]int, error) {
-	if r.peekActive {
-		panic("fastpath: TryRecvBatch with a peek outstanding")
-	}
-	if len(bufs) == 0 {
-		return nil, nil
-	}
-	capacity := uint64(len(r.buf))
-	for {
-		start := r.head.Load()
-		head := start
-		tail := r.tail.Load()
-		var ns []int
-		for len(ns) < len(bufs) {
-			if head == tail {
-				tail = r.tail.Load() // refresh: more may have arrived
-				if head == tail {
-					break
-				}
-			}
-			off := head & r.mask
-			hdr := le32(r.buf[off:])
-			if hdr == skipMarker || capacity-off < recHeader {
-				head += capacity - off
-				continue
-			}
-			ns = append(ns, copy(bufs[len(ns)], r.buf[off+recHeader:off+recHeader+uint64(hdr)]))
-			head += pad4(uint64(recHeader) + uint64(hdr))
-		}
-		if head != start {
-			r.head.Store(head) // one publish for the whole batch
-		}
-		if len(ns) == 0 && r.closed.Load() {
-			// Re-check emptiness after observing closed, so a send that
-			// completed before Close is not lost; a non-empty closed
-			// ring drains on the next pass of the loop.
-			if r.head.Load() == r.tail.Load() {
-				return nil, ErrClosed
-			}
-			continue
-		}
-		return ns, nil
-	}
-}
-
 // Reserve carves an n-byte record out of the ring and returns it as a
 // writable slice — the zero-copy counterpart of TrySend: the producer
 // writes the payload in place and the structural copy never happens.
@@ -324,8 +206,8 @@ func (r *Ring) TryRecvBatch(bufs [][]byte) ([]int, error) {
 // n can never fit, ErrClosed after Close. Nothing is visible to the
 // consumer until CommitReserve publishes the cursor; AbortReserve
 // discards the record instead. At most one reservation may be
-// outstanding, and the producer must not interleave TrySend/SendBatch
-// with an outstanding reservation (both write at the same unpublished
+// outstanding, and the producer must not interleave TrySend with an
+// outstanding reservation (both write at the same unpublished
 // cursor). Producer-side only, like all sends.
 func (r *Ring) Reserve(n int) ([]byte, bool, error) {
 	if r.resActive {
@@ -347,7 +229,7 @@ func (r *Ring) Reserve(n int) ([]byte, bool, error) {
 }
 
 // ReserveBatch carves up to len(ns) records out of the ring in one
-// reservation — the zero-copy counterpart of TrySendBatch. It returns
+// reservation — the batch form of Reserve. It returns
 // writable payload slices for the prefix of ns that currently fits
 // (possibly none: a nil slice with a nil error means the ring lacks
 // space right now); the producer writes the payloads in place and one
@@ -458,7 +340,7 @@ func (r *Ring) Consume() {
 }
 
 // PeekBatch returns up to max records' payloads in place, without
-// consuming any — the zero-copy counterpart of TryRecvBatch: the
+// consuming any — the batch form of Peek: the
 // consumer reads the ring's memory directly and one ConsumeBatch
 // retires the whole run with a single cursor publish. It returns nil
 // when the ring is empty; after Close it drains remaining records and

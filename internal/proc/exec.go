@@ -328,16 +328,3 @@ func (g *ExecGroup) Kill() {
 		ch.CloseConn()
 	}
 }
-
-// CloseConns closes the parent's handshake sockets without touching
-// the processes — once the segment has been handed over the socket's
-// job is done, and a child blocked reading it learns the parent is
-// gone.
-func (g *ExecGroup) CloseConns() {
-	g.mu.Lock()
-	kids := append([]*Child(nil), g.children...)
-	g.mu.Unlock()
-	for _, ch := range kids {
-		ch.CloseConn()
-	}
-}

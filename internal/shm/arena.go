@@ -32,6 +32,11 @@
 // baseline (core's ClassicChains / mpf.WithClassicChains) and the copy
 // ablation's paper-plane configuration.
 //
+// Allocation has one shape in both modes: a chain able to hold an n-byte
+// payload, taken singly (AllocPayload) or as a batch under one lock
+// acquisition (AllocPayloads), and returned by FreeChain or FreeChains.
+// A classic n-block chain is a payload of n*PayloadSize() bytes.
+//
 // The arena is safe for concurrent use.
 package shm
 
@@ -50,8 +55,9 @@ import (
 // played by reserving the region's first word.
 const NilOffset int32 = 0
 
-// ErrOutOfBlocks is returned by Alloc when the free list is empty and the
-// arena was created with a fixed size (the paper's configuration).
+// ErrOutOfBlocks is returned by AllocPayload and AllocPayloads when the
+// free pool cannot meet a non-waiting request, when a wait is aborted by
+// stop, and (wrapped) when a demand exceeds the whole region.
 var ErrOutOfBlocks = errors.New("shm: out of message blocks")
 
 // MinBlockSize is the smallest usable block: the free-list link word plus
@@ -84,7 +90,7 @@ type Arena struct {
 	spanLen  []int32
 	lowFree  int32
 
-	// waiters is the number of goroutines blocked in AllocWait; guarded
+	// waiters is the number of goroutines blocked in lockFree; guarded
 	// by mu, signalled via cond.
 	cond    condSignal
 	waiters int32
@@ -104,10 +110,10 @@ func (c *condSignal) init() { c.ch = make(chan struct{}) }
 
 // Stats counts allocator activity. Read it via Arena.Stats.
 type Stats struct {
-	Allocs      uint64 // successful block allocations
+	Allocs      uint64 // blocks allocated
 	Frees       uint64 // blocks returned
-	AllocFails  uint64 // Alloc calls that found the free list empty
-	AllocBlocks uint64 // blocked AllocWait episodes
+	AllocFails  uint64 // non-waiting allocations that found too few free blocks
+	AllocBlocks uint64 // blocked waits for free blocks
 	HighWater   int32  // maximum simultaneously-allocated blocks
 }
 
@@ -301,40 +307,6 @@ func (a *Arena) link(off int32) int32 {
 	return int32(binary.LittleEndian.Uint32(a.mem[off : off+4]))
 }
 
-// Alloc pops one block off the free list. It returns ErrOutOfBlocks when
-// the region is exhausted.
-func (a *Arena) Alloc() (int32, error) {
-	a.mu.Lock()
-	off, err := a.allocLocked()
-	a.mu.Unlock()
-	return off, err
-}
-
-func (a *Arena) allocLocked() (int32, error) {
-	if a.spans {
-		if a.nFree == 0 {
-			a.stats.AllocFails++
-			return NilOffset, ErrOutOfBlocks
-		}
-		// The lowest free block: a run of one, which tightens lowFree.
-		idx, _ := a.bestRunLocked(1)
-		a.takeRunLocked(idx, 1)
-		return a.offsetOf(idx), nil
-	}
-	if a.freeHead == NilOffset {
-		a.stats.AllocFails++
-		return NilOffset, ErrOutOfBlocks
-	}
-	off := a.freeHead
-	a.freeHead = a.link(off)
-	a.nFree--
-	a.stats.Allocs++
-	if used := a.nBlocks - a.nFree; used > a.stats.HighWater {
-		a.stats.HighWater = used
-	}
-	return off, nil
-}
-
 // offsetOf converts a block index to its arena offset; blockIndex is the
 // inverse. Block 0 lives at offset blockSize (offset 0 is NilOffset).
 func (a *Arena) offsetOf(idx int32) int32   { return (idx + 1) * a.blockSize }
@@ -422,6 +394,11 @@ func (a *Arena) takeRunLocked(start, k int32) {
 		i = next
 	}
 	a.spanLen[start] = k
+	a.takenLocked(k)
+}
+
+// takenLocked accounts k blocks leaving the free pool.
+func (a *Arena) takenLocked(k int32) {
 	a.nFree -= k
 	a.stats.Allocs += uint64(k)
 	if used := a.nBlocks - a.nFree; used > a.stats.HighWater {
@@ -487,21 +464,6 @@ func (a *Arena) spanChainLocked(payload int) (head, tail int32) {
 	}
 }
 
-// blockChainLocked builds a chain of n single blocks. The caller must
-// hold the lock and have verified nFree >= n.
-func (a *Arena) blockChainLocked(n int) (head, tail int32) {
-	head, tail = NilOffset, NilOffset
-	for j := 0; j < n; j++ {
-		off, err := a.allocLocked()
-		if err != nil {
-			// Unreachable: the caller checked nFree.
-			panic("shm: blockChainLocked underflow")
-		}
-		head, tail = a.appendLocked(head, tail, off)
-	}
-	return head, tail
-}
-
 // appendLocked links the chain element at off after tail, returning
 // the chain's new endpoints.
 func (a *Arena) appendLocked(head, tail, off int32) (int32, int32) {
@@ -514,13 +476,26 @@ func (a *Arena) appendLocked(head, tail, off int32) (int32, int32) {
 }
 
 // payloadChainLocked builds the chain for one n-byte payload in the
-// arena's layout. The caller must hold the lock and have verified
-// nFree >= BlocksFor(n).
+// arena's layout: spans in span mode, otherwise BlocksFor(n) blocks
+// popped off the classic free list. The caller must hold the lock and
+// have verified nFree >= BlocksFor(n).
 func (a *Arena) payloadChainLocked(n int) (head, tail int32) {
 	if a.spans {
 		return a.spanChainLocked(n)
 	}
-	return a.blockChainLocked(a.BlocksFor(n))
+	k := int32(a.BlocksFor(n))
+	head, tail = NilOffset, NilOffset
+	for j := int32(0); j < k; j++ {
+		off := a.freeHead
+		if off == NilOffset {
+			// Unreachable: the caller checked nFree.
+			panic("shm: payloadChainLocked underflow")
+		}
+		a.freeHead = a.link(off)
+		head, tail = a.appendLocked(head, tail, off)
+	}
+	a.takenLocked(k)
+	return head, tail
 }
 
 // lockFree acquires the lock and returns holding it once at least total
@@ -568,85 +543,15 @@ func (a *Arena) lockFree(total int32, wait bool, stop <-chan struct{}) error {
 	}
 }
 
-// AllocWait pops one block, blocking until one is available. It is the
-// default message_send policy: the paper's region is fixed-size, so a
-// sender that outruns its receivers must wait for blocks to be recycled.
-// The stop channel aborts the wait (used at facility shutdown); a nil stop
-// never aborts.
-func (a *Arena) AllocWait(stop <-chan struct{}) (int32, error) {
-	if err := a.lockFree(1, true, stop); err != nil {
-		return NilOffset, err
-	}
-	off, err := a.allocLocked()
-	a.mu.Unlock()
-	return off, err
-}
-
-// AllocChain allocates n blocks linked head→…→tail via their link words,
-// returning the head offset, in one free-list transaction. On failure
-// nothing is leaked. wait selects between Alloc and AllocWait
-// semantics, applied to all n blocks at once.
-func (a *Arena) AllocChain(n int, wait bool, stop <-chan struct{}) (int32, error) {
-	if n <= 0 {
-		return NilOffset, fmt.Errorf("shm: AllocChain of %d blocks", n)
-	}
-	if n > int(a.nBlocks) {
-		return NilOffset, ErrOutOfBlocks
-	}
-	if err := a.lockFree(int32(n), wait, stop); err != nil {
-		return NilOffset, err
-	}
-	head, _ := a.blockChainLocked(n)
-	a.mu.Unlock()
-	return head, nil
-}
-
-// AllocChains allocates one chain per entry of ns — ns[i] blocks linked
-// head→…→tail — in a single arena transaction: the free-list lock is
-// taken once for the whole batch, not once per block or per chain. This
-// is the allocator half of the batched send path: a SendBatch of k
-// messages costs one lock acquisition here instead of the sum of the
-// messages' block counts. Both endpoints of every chain are returned so
-// callers building message headers need not re-walk the links. On
-// failure nothing is leaked.
-//
-// With wait set, exhaustion blocks until the batch's full block demand
-// can be met (stop aborts, as in AllocWait); the demand must not exceed
-// the region or the call errors immediately instead of deadlocking.
-func (a *Arena) AllocChains(ns []int, wait bool, stop <-chan struct{}) (heads, tails []int32, err error) {
-	total := 0
-	for _, n := range ns {
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("shm: AllocChains chain of %d blocks", n)
-		}
-		total += n
-	}
-	if total == 0 {
-		return nil, nil, nil
-	}
-	if total > int(a.nBlocks) {
-		return nil, nil, fmt.Errorf("shm: AllocChains batch of %d blocks exceeds region of %d: %w",
-			total, a.nBlocks, ErrOutOfBlocks)
-	}
-	if err := a.lockFree(int32(total), wait, stop); err != nil {
-		return nil, nil, err
-	}
-	heads = make([]int32, len(ns))
-	tails = make([]int32, len(ns))
-	for i, n := range ns {
-		heads[i], tails[i] = a.blockChainLocked(n)
-	}
-	a.mu.Unlock()
-	return heads, tails, nil
-}
-
 // AllocPayload allocates a chain able to hold n payload bytes, returning
 // both endpoints. In span mode the chain is one contiguous span whenever
 // a long enough free run exists (several spans under fragmentation); in
 // classic mode it is BlocksFor(n) linked blocks, allocated in a single
-// free-list transaction. wait and stop have AllocWait's semantics,
-// applied to the chain's worst-case block demand. It is AllocPayloads
-// for one payload, without the result slices.
+// free-list transaction. Without wait, exhaustion returns
+// ErrOutOfBlocks; with wait, the call blocks until the chain's
+// worst-case block demand is free, and closing stop aborts the wait
+// (a nil stop never does). It is AllocPayloads for one payload, without
+// the result slices.
 func (a *Arena) AllocPayload(n int, wait bool, stop <-chan struct{}) (head, tail int32, err error) {
 	total, err := a.payloadDemand(n)
 	if err != nil {
@@ -707,26 +612,9 @@ func (a *Arena) AllocPayloads(ns []int, wait bool, stop <-chan struct{}) (heads,
 	return heads, tails, nil
 }
 
-// Free returns one block (or, in span mode, the whole span starting at
-// off) to the free pool.
-func (a *Arena) Free(off int32) {
-	a.checkOffset(off)
-	a.mu.Lock()
-	if a.spans {
-		a.freeSpanLocked(off)
-		a.wakeAndUnlock()
-		return
-	}
-	a.setLink(off, a.freeHead)
-	a.freeHead = off
-	a.nFree++
-	a.stats.Frees++
-	a.wakeAndUnlock()
-}
-
 // wakeAndUnlock releases the lock, waking block-pool waiters by
 // replace-and-close only; waiters de-register themselves (see
-// AllocWait), so a waiter aborting on stop can never consume another
+// lockFree), so a waiter aborting on stop can never consume another
 // waiter's registration.
 func (a *Arena) wakeAndUnlock() {
 	if a.waiters > 0 {
@@ -739,8 +627,8 @@ func (a *Arena) wakeAndUnlock() {
 	a.mu.Unlock()
 }
 
-// FreeChain returns a linked chain (as built by AllocChain, AllocPayload
-// or message assembly) to the free pool in one lock acquisition. In span
+// FreeChain returns a linked chain (as built by AllocPayload(s) or
+// message assembly) to the free pool in one lock acquisition. In span
 // mode each chain element is a span; its full run of blocks is returned.
 // It is FreeChains for a single chain.
 func (a *Arena) FreeChain(head int32) {
@@ -749,7 +637,7 @@ func (a *Arena) FreeChain(head int32) {
 
 // FreeChains returns a whole batch of chains to the free pool in a
 // single lock acquisition — the release half of the batched payload
-// plane, mirroring AllocChains/AllocPayloads on the allocation side. A
+// plane, mirroring AllocPayloads on the allocation side. A
 // batched receive that consumed k messages (core's unpinAll, the
 // selector's view harvest) pays one free-pool transaction here instead
 // of k FreeChain calls. NilOffset entries are skipped, so callers can
@@ -828,22 +716,6 @@ func (a *Arena) Next(off int32) int32 {
 	return a.link(off)
 }
 
-// SetNext links block off to next (next may be NilOffset).
-func (a *Arena) SetNext(off, next int32) {
-	a.checkOffset(off)
-	if next != NilOffset {
-		a.checkOffset(next)
-	}
-	a.setLink(off, next)
-}
-
-// Payload returns the payload bytes of the single block at off. The
-// returned slice aliases the arena; the caller owns the block.
-func (a *Arena) Payload(off int32) []byte {
-	a.checkOffset(off)
-	return a.mem[off+4 : off+a.blockSize]
-}
-
 // SegPayload returns the payload bytes of the chain element at off: the
 // block's payload in classic mode, the whole span's in span mode (one
 // 4-byte link word however many blocks the span covers). The returned
@@ -919,32 +791,6 @@ func (a *Arena) ReadChain(head int32, length int, buf []byte) int {
 		off = a.Next(off)
 	}
 	return read
-}
-
-// ChainLen walks a chain and returns its element count (segments, not
-// blocks — the two differ in span mode). Intended for tests and
-// invariant checks.
-func (a *Arena) ChainLen(head int32) int {
-	n := 0
-	for off := head; off != NilOffset; off = a.Next(off) {
-		n++
-	}
-	return n
-}
-
-// ChainBlocks walks a chain and returns the number of region blocks it
-// occupies (span-aware). Intended for tests and invariant checks.
-func (a *Arena) ChainBlocks(head int32) int {
-	n := int32(0)
-	for off := head; off != NilOffset; off = a.Next(off) {
-		a.checkOffset(off)
-		if a.spans {
-			n += a.spanLen[a.blockIndex(off)]
-		} else {
-			n++
-		}
-	}
-	return int(n)
 }
 
 // CheckFreeList verifies free-pool integrity: every free block is a valid

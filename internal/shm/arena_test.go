@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -16,6 +17,38 @@ func mustArena(t *testing.T, blockSize, nBlocks int) *Arena {
 		t.Fatalf("New: %v", err)
 	}
 	return a
+}
+
+// allocBlock takes a single block: a payload of PayloadSize() bytes fills
+// exactly one block in both layouts (in span mode, the lowest free one).
+func allocBlock(a *Arena, wait bool, stop <-chan struct{}) (int32, error) {
+	head, _, err := a.AllocPayload(a.PayloadSize(), wait, stop)
+	return head, err
+}
+
+// chainLen walks a chain and returns its element count (segments, not
+// blocks — the two differ in span mode).
+func chainLen(a *Arena, head int32) int {
+	n := 0
+	for off := head; off != NilOffset; off = a.Next(off) {
+		n++
+	}
+	return n
+}
+
+// chainBlocks walks a chain and returns the number of region blocks it
+// occupies (span-aware).
+func chainBlocks(a *Arena, head int32) int {
+	n := int32(0)
+	for off := head; off != NilOffset; off = a.Next(off) {
+		a.checkOffset(off)
+		if a.spans {
+			n += a.spanLen[a.blockIndex(off)]
+		} else {
+			n++
+		}
+	}
+	return int(n)
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -36,15 +69,15 @@ func TestPaperBlockSizeWorks(t *testing.T) {
 	if got := a.PayloadSize(); got != 6 {
 		t.Fatalf("PayloadSize = %d, want 6", got)
 	}
-	off, err := a.Alloc()
+	off, err := allocBlock(a, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(a.Payload(off), []byte("abcdef"))
-	if !bytes.Equal(a.Payload(off), []byte("abcdef")) {
+	copy(a.SegPayload(off), []byte("abcdef"))
+	if !bytes.Equal(a.SegPayload(off), []byte("abcdef")) {
 		t.Fatal("payload roundtrip failed")
 	}
-	a.Free(off)
+	a.FreeChain(off)
 }
 
 func TestAllocExhaustionAndRecycle(t *testing.T) {
@@ -52,20 +85,20 @@ func TestAllocExhaustionAndRecycle(t *testing.T) {
 	a := mustArena(t, 16, n)
 	offs := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		off, err := a.Alloc()
+		off, err := allocBlock(a, false, nil)
 		if err != nil {
 			t.Fatalf("alloc %d: %v", i, err)
 		}
 		offs = append(offs, off)
 	}
-	if _, err := a.Alloc(); err != ErrOutOfBlocks {
+	if _, err := allocBlock(a, false, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("alloc past capacity: err = %v, want ErrOutOfBlocks", err)
 	}
 	if got := a.FreeBlocks(); got != 0 {
 		t.Fatalf("FreeBlocks = %d, want 0", got)
 	}
 	for _, off := range offs {
-		a.Free(off)
+		a.FreeChain(off)
 	}
 	if got := a.FreeBlocks(); got != n {
 		t.Fatalf("FreeBlocks after recycle = %d, want %d", got, n)
@@ -79,12 +112,12 @@ func TestOffsetsDistinctAndAligned(t *testing.T) {
 	a := mustArena(t, 32, 50)
 	seen := make(map[int32]bool)
 	for i := 0; i < 50; i++ {
-		off, err := a.Alloc()
+		off, err := allocBlock(a, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if off == NilOffset {
-			t.Fatal("Alloc returned NilOffset without error")
+			t.Fatal("AllocPayload returned NilOffset without error")
 		}
 		if off%32 != 0 {
 			t.Fatalf("offset %d not block-aligned", off)
@@ -105,12 +138,12 @@ func TestChainWriteRead(t *testing.T) {
 	if want := (100 + 11) / 12; n != want {
 		t.Fatalf("BlocksFor(100) = %d, want %d", n, want)
 	}
-	head, err := a.AllocChain(n, false, nil)
+	head, _, err := a.AllocPayload(len(msg), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ChainLen(head); got != n {
-		t.Fatalf("ChainLen = %d, want %d", got, n)
+	if got := chainLen(a, head); got != n {
+		t.Fatalf("chain has %d blocks, want %d", got, n)
 	}
 	if w := a.WriteChain(head, msg); w != len(msg) {
 		t.Fatalf("WriteChain wrote %d, want %d", w, len(msg))
@@ -131,7 +164,7 @@ func TestChainWriteRead(t *testing.T) {
 func TestReadChainShortBuffer(t *testing.T) {
 	a := mustArena(t, 16, 8)
 	msg := []byte("hello, world — truncate me")
-	head, err := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+	head, _, err := a.AllocPayload(len(msg), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +179,28 @@ func TestReadChainShortBuffer(t *testing.T) {
 	a.FreeChain(head)
 }
 
+// TestAllocChainFailureLeaksNothing checks that a multi-block payload
+// the pool cannot hold takes no block: neither one larger than the
+// region nor one larger than what is free right now.
 func TestAllocChainFailureLeaksNothing(t *testing.T) {
 	a := mustArena(t, 16, 4)
-	if _, err := a.AllocChain(5, false, nil); err != ErrOutOfBlocks {
+	if _, _, err := a.AllocPayload(5*a.PayloadSize(), false, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
 	}
 	if got := a.FreeBlocks(); got != 4 {
-		t.Fatalf("FreeBlocks = %d after failed AllocChain, want 4 (leak)", got)
+		t.Fatalf("FreeBlocks = %d after failed AllocPayload, want 4 (leak)", got)
 	}
+	held, err := allocBlock(a, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.AllocPayload(4*a.PayloadSize(), false, nil); !errors.Is(err, ErrOutOfBlocks) {
+		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
+	}
+	if got := a.FreeBlocks(); got != 3 {
+		t.Fatalf("FreeBlocks = %d after failed AllocPayload, want 3 (leak)", got)
+	}
+	a.FreeChain(held)
 	if err := a.CheckFreeList(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +215,13 @@ func TestBlocksForZeroLength(t *testing.T) {
 
 func TestAllocWaitWakesOnFree(t *testing.T) {
 	a := mustArena(t, 16, 1)
-	off, err := a.Alloc()
+	off, err := allocBlock(a, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan int32, 1)
 	go func() {
-		o, err := a.AllocWait(nil)
+		o, err := allocBlock(a, true, nil)
 		if err != nil {
 			t.Error(err)
 		}
@@ -183,45 +230,54 @@ func TestAllocWaitWakesOnFree(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	select {
 	case <-got:
-		t.Fatal("AllocWait returned before any block was freed")
+		t.Fatal("waiting AllocPayload returned before any block was freed")
 	default:
 	}
-	a.Free(off)
+	a.FreeChain(off)
 	select {
 	case o := <-got:
 		if o != off {
-			t.Fatalf("AllocWait returned %d, want recycled block %d", o, off)
+			t.Fatalf("waiting AllocPayload returned %d, want recycled block %d", o, off)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AllocWait never woke after Free")
+		t.Fatal("waiting AllocPayload never woke after FreeChain")
 	}
 }
 
 func TestAllocWaitStop(t *testing.T) {
 	a := mustArena(t, 16, 1)
-	if _, err := a.Alloc(); err != nil {
+	if _, err := allocBlock(a, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.AllocWait(stop)
+		_, err := allocBlock(a, true, stop)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	select {
 	case err := <-errc:
-		if err != ErrOutOfBlocks {
-			t.Fatalf("aborted AllocWait err = %v, want ErrOutOfBlocks", err)
+		if !errors.Is(err, ErrOutOfBlocks) {
+			t.Fatalf("aborted wait err = %v, want ErrOutOfBlocks", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AllocWait did not abort on stop")
+		t.Fatal("waiting AllocPayload did not abort on stop")
 	}
 }
 
 func TestConcurrentAllocFree(t *testing.T) {
-	a := mustArena(t, 16, 128)
+	for _, spans := range []bool{false, true} {
+		a, err := New(Config{BlockSize: 16, NumBlocks: 128, Spans: spans})
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrentAllocFree(t, a)
+	}
+}
+
+func concurrentAllocFree(t *testing.T, a *Arena) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -232,17 +288,17 @@ func TestConcurrentAllocFree(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				if len(held) > 0 && (rng.Intn(2) == 0 || len(held) >= 16) {
 					k := rng.Intn(len(held))
-					a.Free(held[k])
+					a.FreeChain(held[k])
 					held = append(held[:k], held[k+1:]...)
 				} else {
-					off, err := a.AllocWait(nil)
+					off, err := allocBlock(a, true, nil)
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					// Scribble on the payload to catch aliasing with
 					// another goroutine's block.
-					p := a.Payload(off)
+					p := a.SegPayload(off)
 					for j := range p {
 						p[j] = byte(seed)
 					}
@@ -250,20 +306,20 @@ func TestConcurrentAllocFree(t *testing.T) {
 				}
 			}
 			for _, off := range held {
-				p := a.Payload(off)
+				p := a.SegPayload(off)
 				for j := range p {
 					if p[j] != byte(seed) {
 						t.Errorf("payload of held block scribbled by another goroutine")
 						break
 					}
 				}
-				a.Free(off)
+				a.FreeChain(off)
 			}
 		}(int64(w))
 	}
 	wg.Wait()
 	if got := a.FreeBlocks(); got != 128 {
-		t.Fatalf("FreeBlocks = %d after all frees, want 128", got)
+		t.Fatalf("spans=%v: FreeBlocks = %d after all frees, want 128", a.Spans(), got)
 	}
 	if err := a.CheckFreeList(); err != nil {
 		t.Fatal(err)
@@ -274,11 +330,11 @@ func TestStatsHighWater(t *testing.T) {
 	a := mustArena(t, 16, 8)
 	var offs []int32
 	for i := 0; i < 5; i++ {
-		off, _ := a.Alloc()
+		off, _ := allocBlock(a, false, nil)
 		offs = append(offs, off)
 	}
 	for _, o := range offs {
-		a.Free(o)
+		a.FreeChain(o)
 	}
 	st := a.Stats()
 	if st.HighWater != 5 {
@@ -310,10 +366,10 @@ func TestInvalidOffsetPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Payload(%d) did not panic", off)
+					t.Errorf("SegPayload(%d) did not panic", off)
 				}
 			}()
-			a.Payload(off)
+			a.SegPayload(off)
 		}()
 	}
 }
@@ -329,7 +385,7 @@ func TestQuickChainRoundtrip(t *testing.T) {
 			msg = msg[:4096]
 		}
 		for _, a := range []*Arena{a8, a10, a64} {
-			head, err := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+			head, _, err := a.AllocPayload(len(msg), false, nil)
 			if err != nil {
 				return false
 			}
@@ -359,12 +415,12 @@ func TestQuickConservation(t *testing.T) {
 		var held []int32
 		for _, alloc := range ops {
 			if alloc {
-				off, err := a.Alloc()
+				off, err := allocBlock(a, false, nil)
 				if err == nil {
 					held = append(held, off)
 				}
 			} else if len(held) > 0 {
-				a.Free(held[len(held)-1])
+				a.FreeChain(held[len(held)-1])
 				held = held[:len(held)-1]
 			}
 		}
@@ -382,8 +438,8 @@ func BenchmarkAllocFree(b *testing.B) {
 	a, _ := New(Config{BlockSize: 64, NumBlocks: 1024})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		off, _ := a.Alloc()
-		a.Free(off)
+		off, _ := allocBlock(a, false, nil)
+		a.FreeChain(off)
 	}
 }
 
@@ -393,7 +449,7 @@ func BenchmarkChainRoundtrip1K(b *testing.B) {
 	out := make([]byte, 1024)
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
-		head, _ := a.AllocChain(a.BlocksFor(len(msg)), false, nil)
+		head, _, _ := a.AllocPayload(len(msg), false, nil)
 		a.WriteChain(head, msg)
 		a.ReadChain(head, len(msg), out)
 		a.FreeChain(head)

@@ -6,20 +6,34 @@ import (
 	"time"
 )
 
+// blockPayloads returns the payload lengths that fill exactly ns[i]
+// classic blocks each: an n-block chain holds n*PayloadSize() bytes.
+func blockPayloads(a *Arena, ns ...int) []int {
+	out := make([]int, len(ns))
+	for i, n := range ns {
+		out[i] = n * a.PayloadSize()
+	}
+	return out
+}
+
 func TestAllocChainsOneTransaction(t *testing.T) {
 	a, err := New(Config{BlockSize: 16, NumBlocks: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads, tails, err := a.AllocChains([]int{3, 1, 5}, false, nil)
+	acqBefore, _ := a.LockStats()
+	heads, tails, err := a.AllocPayloads(blockPayloads(a, 3, 1, 5), false, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if acqAfter, _ := a.LockStats(); acqAfter-acqBefore != 1 {
+		t.Errorf("AllocPayloads took %d lock acquisitions, want 1", acqAfter-acqBefore)
 	}
 	if len(heads) != 3 {
 		t.Fatalf("%d heads, want 3", len(heads))
 	}
 	for i, want := range []int{3, 1, 5} {
-		if got := a.ChainLen(heads[i]); got != want {
+		if got := chainLen(a, heads[i]); got != want {
 			t.Errorf("chain %d has %d blocks, want %d", i, got, want)
 		}
 		end := heads[i]
@@ -51,7 +65,7 @@ func TestAllocChainsAllOrNothing(t *testing.T) {
 	}
 	// Demand exceeding the free count (but not the region) fails without
 	// allocating anything.
-	if _, _, err := a.AllocChains([]int{5, 4}, false, nil); !errors.Is(err, ErrOutOfBlocks) {
+	if _, _, err := a.AllocPayloads(blockPayloads(a, 5, 4), false, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
 	}
 	if free := a.FreeBlocks(); free != 8 {
@@ -59,17 +73,20 @@ func TestAllocChainsAllOrNothing(t *testing.T) {
 	}
 	// Demand exceeding the whole region fails even with wait set —
 	// waiting could never succeed.
-	if _, _, err := a.AllocChains([]int{9}, true, nil); !errors.Is(err, ErrOutOfBlocks) {
+	if _, _, err := a.AllocPayloads(blockPayloads(a, 9), true, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("oversized wait: err = %v, want ErrOutOfBlocks", err)
 	}
 	// Zero-length batch is a no-op.
-	heads, tails, err := a.AllocChains(nil, false, nil)
+	heads, tails, err := a.AllocPayloads(nil, false, nil)
 	if err != nil || heads != nil || tails != nil {
 		t.Errorf("empty batch: %v, %v", heads, err)
 	}
-	// Non-positive chain length is rejected.
-	if _, _, err := a.AllocChains([]int{2, 0}, false, nil); err == nil {
-		t.Error("chain of 0 blocks accepted")
+	// A negative payload length is rejected, and the batch with it.
+	if _, _, err := a.AllocPayloads([]int{2, -1}, false, nil); err == nil {
+		t.Error("payload of -1 bytes accepted")
+	}
+	if free := a.FreeBlocks(); free != 8 {
+		t.Errorf("rejected batch leaked: %d blocks free, want 8", free)
 	}
 }
 
@@ -78,13 +95,13 @@ func TestAllocChainsWaitsForFrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held, _, err := a.AllocChains([]int{3}, false, nil)
+	held, _, err := a.AllocPayloads(blockPayloads(a, 3), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []int32, 1)
 	go func() {
-		heads, _, err := a.AllocChains([]int{3}, true, nil)
+		heads, _, err := a.AllocPayloads(blockPayloads(a, 3), true, nil)
 		if err != nil {
 			done <- nil
 			return
@@ -93,20 +110,20 @@ func TestAllocChainsWaitsForFrees(t *testing.T) {
 	}()
 	select {
 	case <-done:
-		t.Fatal("AllocChains returned before blocks were freed")
+		t.Fatal("AllocPayloads returned before blocks were freed")
 	case <-time.After(30 * time.Millisecond):
 	}
 	a.FreeChain(held[0])
 	select {
 	case heads := <-done:
 		if heads == nil {
-			t.Fatal("waiting AllocChains failed")
+			t.Fatal("waiting AllocPayloads failed")
 		}
-		if got := a.ChainLen(heads[0]); got != 3 {
+		if got := chainLen(a, heads[0]); got != 3 {
 			t.Errorf("chain has %d blocks, want 3", got)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("AllocChains did not wake after FreeChain")
+		t.Fatal("AllocPayloads did not wake after FreeChain")
 	}
 }
 
@@ -115,13 +132,13 @@ func TestAllocChainsStopAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.AllocChains([]int{2}, false, nil); err != nil {
+	if _, _, err := a.AllocPayloads(blockPayloads(a, 2), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := a.AllocChains([]int{1}, true, stop)
+		_, _, err := a.AllocPayloads(blockPayloads(a, 1), true, stop)
 		done <- err
 	}()
 	close(stop)

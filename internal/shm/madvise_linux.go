@@ -10,7 +10,7 @@ import "syscall"
 // handful of TLB entries instead of hundreds.
 const madvHugepage = 14
 
-// madviseSupported gates AdviseHuge's byte accounting: only report
+// madviseSupported gates AdviseHugeBytes' byte accounting: only report
 // bytes as advised where the syscall actually exists.
 const madviseSupported = true
 

@@ -7,6 +7,6 @@ package shm
 // portable behaviour is simply not to hint.
 func madviseHuge(addr, length uintptr) error { return nil }
 
-// madviseSupported gates AdviseHuge's byte accounting: only report
+// madviseSupported gates AdviseHugeBytes' byte accounting: only report
 // bytes as advised where the syscall actually exists.
 const madviseSupported = false

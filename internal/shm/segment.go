@@ -192,28 +192,6 @@ func AlignUp(off int64) int64 { return (off + 63) &^ 63 }
 // architectures this package targets.
 const HugePageBytes = 2 << 20
 
-// AlignUpHuge rounds off up to the next huge-page boundary.
-func AlignUpHuge(off int64) int64 {
-	return (off + HugePageBytes - 1) &^ int64(HugePageBytes-1)
-}
-
-// AdviseHuge hints the kernel to back the segment window [off, off+n)
-// with transparent huge pages (madvise MADV_HUGEPAGE). The advised
-// range is shrunk inward to huge-page boundaries — madvise wants
-// page-aligned addresses, and an unaligned hint would spill onto
-// neighbouring memory. Returns the number of bytes actually advised
-// (0 if the aligned range is empty or the platform has no madvise)
-// and any syscall error.
-func (s *Segment) AdviseHuge(off, n int64) (int64, error) {
-	if s.closed || n <= 0 {
-		return 0, nil
-	}
-	if off < 0 || off+n > int64(len(s.mem)) {
-		return 0, fmt.Errorf("shm: advise window [%d,%d) outside region of %d bytes", off, off+n, len(s.mem))
-	}
-	return AdviseHugeBytes(s.mem[off : off+n])
-}
-
 // AdviseHugeBytes issues the MADV_HUGEPAGE hint for the huge-page-
 // aligned interior of b — the slice-level form Arena uses for regions
 // it does not own a Segment handle for (the heap backend). Shrinking

@@ -27,10 +27,10 @@ func TestSpanAllocPayloadContiguous(t *testing.T) {
 	if head != tail {
 		t.Fatalf("contiguous alloc split: head %d, tail %d", head, tail)
 	}
-	if got := a.ChainLen(head); got != 1 {
+	if got := chainLen(a, head); got != 1 {
 		t.Fatalf("chain has %d segments, want 1", got)
 	}
-	if got := a.ChainBlocks(head); got != 7 {
+	if got := chainBlocks(a, head); got != 7 {
 		t.Fatalf("span covers %d blocks, want 7", got)
 	}
 	if got := len(a.SegPayload(head)); got != 7*16-4 {
@@ -51,21 +51,21 @@ func TestSpanFragmentationFallsBackToChains(t *testing.T) {
 	// other one. The longest free run is now a single block.
 	offs := make([]int32, 16)
 	for i := range offs {
-		off, err := a.Alloc()
+		off, err := allocBlock(a, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		offs[i] = off
 	}
 	for i := 0; i < 16; i += 2 {
-		a.Free(offs[i])
+		a.FreeChain(offs[i])
 	}
 	// 60 payload bytes need ceil(60/12) = 5 single-block spans.
 	head, tail, err := a.AllocPayload(60, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ChainLen(head); got != 5 {
+	if got := chainLen(a, head); got != 5 {
 		t.Fatalf("fragmented alloc built %d segments, want 5", got)
 	}
 	if head == tail {
@@ -81,7 +81,7 @@ func TestSpanFragmentationFallsBackToChains(t *testing.T) {
 	}
 	a.FreeChain(head)
 	for i := 1; i < 16; i += 2 {
-		a.Free(offs[i])
+		a.FreeChain(offs[i])
 	}
 	if free := a.FreeBlocks(); free != 16 {
 		t.Fatalf("%d blocks free, want 16", free)
@@ -157,14 +157,14 @@ func TestSpanExhaustionAndWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.ChainBlocks(head); got != 7 {
+	if got := chainBlocks(a, head); got != 7 {
 		t.Fatalf("span covers %d blocks, want 7", got)
 	}
-	single, err := a.Alloc()
+	single, err := allocBlock(a, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Free(single)
+	defer a.FreeChain(single)
 	if _, _, err := a.AllocPayload(1, false, nil); !errors.Is(err, ErrOutOfBlocks) {
 		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
 	}

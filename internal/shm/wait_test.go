@@ -7,13 +7,13 @@ import (
 )
 
 func TestAllocWaitMultipleWaitersAllServed(t *testing.T) {
-	// More waiters than blocks: each Free must eventually let one more
-	// waiter through (broadcast wake + retry), with no waiter lost.
+	// More waiters than blocks: each FreeChain must eventually let one
+	// more waiter through (broadcast wake + retry), with no waiter lost.
 	const nBlocks, nWaiters = 2, 6
 	a := mustArena(t, 16, nBlocks)
 	held := make([]int32, 0, nBlocks)
 	for i := 0; i < nBlocks; i++ {
-		off, err := a.Alloc()
+		off, err := allocBlock(a, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +25,7 @@ func TestAllocWaitMultipleWaitersAllServed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			off, err := a.AllocWait(nil)
+			off, err := allocBlock(a, true, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -33,17 +33,16 @@ func TestAllocWaitMultipleWaitersAllServed(t *testing.T) {
 			got <- off
 		}()
 	}
-	// Release blocks one at a time; after each release one waiter gets
-	// a block. Keep recycling what waiters return… simpler: free the 2
-	// held, then bounce blocks from satisfied waiters back in.
+	// Free the 2 held blocks, then bounce blocks from satisfied waiters
+	// back in so the next waiter proceeds.
 	for _, off := range held {
-		a.Free(off)
+		a.FreeChain(off)
 	}
 	for served := 0; served < nWaiters; served++ {
 		select {
 		case off := <-got:
 			if served < nWaiters-nBlocks {
-				a.Free(off) // recycle so the next waiter proceeds
+				a.FreeChain(off) // recycle so the next waiter proceeds
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("only %d of %d waiters served", served, nWaiters)
@@ -55,14 +54,14 @@ func TestAllocWaitMultipleWaitersAllServed(t *testing.T) {
 func TestAllocWaitFastPathNoBlock(t *testing.T) {
 	a := mustArena(t, 16, 4)
 	start := time.Now()
-	off, err := a.AllocWait(nil)
+	off, err := allocBlock(a, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > time.Second {
-		t.Fatal("AllocWait blocked despite free blocks")
+		t.Fatal("waiting AllocPayload blocked despite free blocks")
 	}
-	a.Free(off)
+	a.FreeChain(off)
 	st := a.Stats()
 	if st.AllocBlocks != 0 {
 		t.Fatalf("AllocBlocks = %d, want 0", st.AllocBlocks)

@@ -9,12 +9,10 @@
 // behaviour under many receivers is directly visible in the Figure 4 and
 // Figure 6 benchmarks.
 //
-// Three lock flavours are provided:
+// Two lock flavours are provided:
 //
 //   - TAS: plain test-and-set with exponential backoff. Lowest uncontended
 //     latency, no fairness guarantee.
-//   - Ticket: FIFO-fair ticket lock, the shape used by Sequent's library
-//     locks.
 //   - RW: a reader/writer spin lock for mostly-read descriptor tables
 //     (the LNVC name table).
 //
@@ -93,45 +91,6 @@ func (l *TAS) Unlock() {
 // that found the lock held.
 func (l *TAS) Stats() (acquisitions, contended uint64) {
 	return l.acquisitions.Load(), l.contended.Load()
-}
-
-// Ticket is a FIFO-fair ticket spin lock. The zero value is unlocked.
-type Ticket struct {
-	next    atomic.Uint64
-	serving atomic.Uint64
-}
-
-// Lock acquires l, spinning in FIFO order.
-func (l *Ticket) Lock() {
-	ticket := l.next.Add(1) - 1
-	for {
-		cur := l.serving.Load()
-		if cur == ticket {
-			return
-		}
-		// Back off proportionally to queue depth, as proposed for
-		// ticket locks on bus-based machines.
-		wait := int(ticket - cur)
-		if wait < 0 || wait > maxBackoffSpins {
-			wait = maxBackoffSpins
-		}
-		for i := 0; i < wait; i++ {
-			spinHint()
-		}
-		// Yield after every backoff round that ends without the lock.
-		// Hand-off is strict FIFO: only the next ticket holder can
-		// proceed, and it may be a goroutine waiting for this P. A
-		// waiter that spun on without yielding would hold the P until
-		// async preemption, once per hand-off.
-		if l.serving.Load() != ticket {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Unlock releases l to the next waiter in ticket order.
-func (l *Ticket) Unlock() {
-	l.serving.Add(1)
 }
 
 // RW is a reader/writer spin lock. Writers are mutually exclusive with

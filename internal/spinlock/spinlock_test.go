@@ -1,7 +1,6 @@
 package spinlock
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,50 +31,6 @@ func exercise(t *testing.T, l sync.Locker, nWorkers, nIters int) {
 
 func TestTASMutualExclusion(t *testing.T) {
 	exercise(t, &TAS{}, 8, 2000)
-}
-
-func TestTicketMutualExclusion(t *testing.T) {
-	exercise(t, &Ticket{}, 8, 2000)
-}
-
-// TestTicketOversubscribed runs more ticket-lock waiters than Ps, with
-// each holder giving up its P inside the critical section, as
-// preemption or a descheduled thread does at random under load. Strict
-// FIFO hand-off means the next ticket holder is then usually not
-// running; unless the spinning waiters yield between backoff rounds,
-// every hand-off waits for the scheduler to preempt them one by one.
-func TestTicketOversubscribed(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const workers, iters = 8, 200
-	var l Ticket
-	counter := 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				runtime.Gosched()
-				counter++
-				l.Unlock()
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatalf("%d goroutines on one P did not finish %d ticket-lock hand-offs in 20 s",
-			workers, workers*iters)
-	}
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d (lost updates)", counter, workers*iters)
-	}
 }
 
 func TestRWWriteMutualExclusion(t *testing.T) {
@@ -218,38 +173,6 @@ func TestRWReadersSeeWriterUpdates(t *testing.T) {
 	}
 }
 
-func TestTicketFairnessOrder(t *testing.T) {
-	// With a ticket lock, a waiter that arrived first must be served
-	// first. Serialize arrival, then check service order.
-	var l Ticket
-	l.Lock()
-
-	order := make(chan int, 2)
-	first := make(chan struct{})
-	go func() {
-		close(first)
-		l.Lock()
-		order <- 1
-		l.Unlock()
-	}()
-	<-first
-	time.Sleep(20 * time.Millisecond) // let goroutine 1 take its ticket
-	go func() {
-		l.Lock()
-		order <- 2
-		l.Unlock()
-	}()
-	time.Sleep(20 * time.Millisecond)
-	l.Unlock()
-
-	if got := <-order; got != 1 {
-		t.Fatalf("first served = %d, want 1", got)
-	}
-	if got := <-order; got != 2 {
-		t.Fatalf("second served = %d, want 2", got)
-	}
-}
-
 func TestCondOverTAS(t *testing.T) {
 	// TAS must be usable as the Locker under a sync.Cond; core relies
 	// on this for blocking message_receive.
@@ -288,16 +211,6 @@ func BenchmarkTASUncontended(b *testing.B) {
 
 func BenchmarkTASContended(b *testing.B) {
 	var l TAS
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			l.Lock()
-			l.Unlock()
-		}
-	})
-}
-
-func BenchmarkTicketContended(b *testing.B) {
-	var l Ticket
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			l.Lock()

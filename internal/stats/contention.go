@@ -54,9 +54,6 @@ func NewContention(n int) *Contention {
 	return &Contention{cells: make([]contentionCell, n)}
 }
 
-// Shards returns the number of shards tracked.
-func (c *Contention) Shards() int { return len(c.cells) }
-
 // Record notes one lock acquisition on shard i, contended or not.
 func (c *Contention) Record(i int, contended bool) {
 	cell := &c.cells[i]

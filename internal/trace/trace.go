@@ -36,15 +36,6 @@ func (c *Collector) Trace(ev core.Event) {
 	c.events = append(c.events, ev)
 }
 
-// Events returns a copy of the recorded events.
-func (c *Collector) Events() []core.Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]core.Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
 // Len returns the number of recorded events.
 func (c *Collector) Len() int {
 	c.mu.Lock()
